@@ -21,7 +21,6 @@ from .conversion import (
     HermitianToeplitzCov,
     build_conversion_operator,
     build_gram_system,
-    build_q_matrix,
     convert,
     estimate_aps,
     export_operator,
@@ -48,8 +47,6 @@ from .hilbert_space import (
     Trig,
     inner_product,
     mask,
-    projection_coefficients,
-    projection_residual,
 )
 from .numerics import PinvSpec, QuadratureSpec, bessel_j0, integrate, pinv_psd
 
@@ -81,7 +78,6 @@ __all__ = [
     "build_conversion_operator",
     "build_function_set",
     "build_gram_system",
-    "build_q_matrix",
     "compute_bounds",
     "convert",
     "estimate_aps",
@@ -92,8 +88,6 @@ __all__ = [
     "mask",
     "oracle_residual",
     "pinv_psd",
-    "projection_coefficients",
-    "projection_residual",
     "random_aps_model",
     "run_fig1",
     "run_fig2",

@@ -109,26 +109,17 @@ def _first_column_functions(omegas: np.ndarray) -> tuple[AngularFunction, ...]:
     return tuple(cosines + sines)
 
 
-def build_function_set(
-    cfg: UlaConfig,
-    c_s: SupportSet | None = None,
-    include_masked_uplink: bool = False,
-) -> FunctionSet:
+def build_function_set(cfg: UlaConfig, c_s: SupportSet | None = None) -> FunctionSet:
     """Build the 2N uplink and 2N downlink kernels, plus constraints.
 
     With support information ``c_s`` the constraint set holds the 2N masked
-    downlink functions (zeroed on c_s).  ``include_masked_uplink``
-    additionally appends the 2N masked uplink functions; off by default
-    because the extra near-dependent rows worsen Gram conditioning in large
-    arrays.
+    downlink functions (zeroed on c_s).
     """
     uplink = _first_column_functions(cfg.omegas("uplink"))
     downlink = _first_column_functions(cfg.omegas("downlink"))
     constraints: tuple[AngularFunction, ...] = ()
     if c_s is not None and not c_s.is_empty():
         constraints = tuple(mask(g, c_s) for g in downlink)
-        if include_masked_uplink:
-            constraints = constraints + tuple(mask(g, c_s) for g in uplink)
     return FunctionSet(
         config=cfg,
         uplink=uplink,

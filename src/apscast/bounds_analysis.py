@@ -1,7 +1,8 @@
 """Certified per-entry error bounds for the covariance conversion.
 
 For each first-column slot k the algorithm-independent factor is the
-projection residual  res_k = sqrt(||g_d[k]||^2 - q_k^T G^+ q_k):  any
+projection residual res_k = ||g_d[k] - P g_d[k]||, P the projection onto the
+kept span of the basis (read from the Gram system's SVD):  any
 consistent estimator with norm bound B has per-entry error at most
 2 B res_k, and the minimum-norm estimator at most B res_k.  Bounds are
 reported for the 2N first-column slots only; every other matrix entry
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import ConversionOperator, GramSystem, build_q_matrix
+from .conversion import ConversionOperator, GramSystem
 from .errors import ContractError, NumericalConsistencyError
-from .hilbert_space import clamp_residual_sq, norm_sq
+from .hilbert_space import clamp_residual_sq
+from .hilbert_space import norm_sq  # noqa: F401  unused; bench/tracing.py wraps it here
 
 __all__ = [
     "PerEntryBound",
@@ -88,28 +90,18 @@ def compute_bounds(
 ) -> BoundReport:
     """Per-entry residuals and the two bound families for norm bound B.
 
-    ``op`` may supply a precomputed Q matrix; otherwise it is assembled here.
-    Raises NumericalConsistencyError when a squared residual is negative
-    beyond the clamp tolerance.
+    Every quantity is read from ``gs``; ``op`` is accepted so callers that
+    hold the operator keep working, and changes nothing.  Raises
+    NumericalConsistencyError when a residual exceeds its kernel's norm.
     """
     if not (math.isfinite(B) and B > 0.0):
         raise ContractError(f"B must be positive and finite, got {B}")
-    fs = gs.function_set
-    n = fs.n
-    Q = op.Q_mat if op is not None else build_q_matrix(gs)[0]
-
-    pr = gs.pinv_result
-    vk = pr.eigenvectors[:, pr.kept]
-    lam = pr.eigenvalues[pr.kept]
-    T = vk.T @ Q
-    proj_sq = np.einsum("ik,ik->k", T, T / lam[:, None]) if lam.size else \
-        np.zeros(2 * n)
+    n = gs.function_set.n
 
     entries = []
     for idx in range(2 * n):
-        norm_sq_k = float(norm_for_slot(gs, idx))
-        rad = clamp_residual_sq(norm_sq_k - float(proj_sq[idx]))
-        residual = math.sqrt(rad)
+        norm_sq_k = float(gs.downlink_norms_sq[idx])
+        residual = math.sqrt(clamp_residual_sq(float(gs.residuals_sq[idx])))
         if residual > math.sqrt(norm_sq_k) + 1e-9:
             raise NumericalConsistencyError(
                 f"residual {residual:.3e} exceeds ||g_d|| for slot {idx + 1}"
@@ -130,11 +122,6 @@ def compute_bounds(
         config_hash=_config_hash(gs, B),
         rank=gs.rank,
     )
-
-
-def norm_for_slot(gs: GramSystem, idx: int) -> float:
-    """||g_d[idx]||^2 via the closed-form kernel."""
-    return norm_sq(gs.function_set.downlink[idx], gs.quad)
 
 
 @dataclass(frozen=True)

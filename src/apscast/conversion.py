@@ -1,38 +1,39 @@
-"""Gram system assembly, the linear conversion operator, and APS estimation.
+"""Gram system factorization, the linear conversion operator, and APS estimation.
 
 The estimator is the minimum-norm member of the linear variety of spectra
 consistent with the observed uplink covariance (and any support
-constraints).  Everything reduces to the Gram matrix G of the constraint
-functions and the cross matrix Q against the downlink functions; conversion
-itself collapses to one matrix-vector product r_d = A r_u with
-A = Q^T G^+ restricted to the uplink block.
+constraints).  Conversion collapses to one matrix-vector product
+r_d = A r_u with A = Q^T G^+ restricted to the uplink block, where G is the
+Gram matrix of the basis (uplink then constraint functions) and Q its cross
+matrix against the downlink functions.
 
-All quadratic forms in G^+ are evaluated in the eigenbasis of G.  The dense
-pseudo-inverse has entries of order 1/lambda_min and forming z^T G^+ z
-through it loses ~5 digits to cancellation in ill-conditioned
-support-information systems; projecting z onto the retained eigenvectors
-first keeps those forms accurate to ~1e-11.
+Every quantity comes from one SVD.  The basis and the downlink kernels are
+sampled on one quadrature rule, X (samples x L) and Y (samples x 2N), so
+G = X^T X and Q = X^T Y.  With X = U S V^T truncated to the kept directions,
+A = (Y^T U_k S_k^-1 V_k^T)[:, :2N] and the squared projection residual of
+downlink slot k is ||Y_k - U_k U_k^T Y_k||^2.  Neither passes through G^+,
+so their working condition number is sqrt(cond(G)).
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .array_model import FunctionSet, UlaConfig
-from .errors import ContractError, NumericalConsistencyError
+from .errors import ContractError
 from .hilbert_space import (
     AngularFunction,
     SupportSet,
-    inner_product_with_status,
+    inner_product_with_status,  # noqa: F401  unused; bench/tracing.py wraps it here
     norm_sq,
+    sample,
+    sampling_rule,
 )
-from .numerics import PinvResult, PinvSpec, QuadratureSpec, pinv_psd
+from .numerics import PinvSpec, QuadratureSpec
+from .numerics import pinv_psd  # noqa: F401  unused; bench/tracing.py wraps it here
 
 __all__ = [
     "GramSystem",
@@ -40,7 +41,6 @@ __all__ = [
     "HermitianToeplitzCov",
     "ApsEstimate",
     "build_gram_system",
-    "build_q_matrix",
     "build_conversion_operator",
     "convert",
     "estimate_aps",
@@ -51,77 +51,47 @@ __all__ = [
 ]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("APSCAST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pairwise_table(
-    rows: Sequence[AngularFunction],
-    cols: Sequence[AngularFunction],
-    quad: QuadratureSpec,
-    symmetric: bool,
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Inner-product table with optional symmetry; returns flagged entries."""
-    out = np.zeros((len(rows), len(cols)))
-    flagged: list[tuple[int, int]] = []
-
-    def fill_row(j: int) -> list[tuple[int, int]]:
-        local: list[tuple[int, int]] = []
-        start = j if symmetric else 0
-        for k in range(start, len(cols)):
-            v, ok = inner_product_with_status(rows[j], cols[k], quad)
-            out[j, k] = v
-            if symmetric:
-                out[k, j] = v
-            if not ok:
-                local.append((j, k))
-        return local
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for local in pool.map(fill_row, range(len(rows))):
-                flagged.extend(local)
-    else:
-        for j in range(len(rows)):
-            flagged.extend(fill_row(j))
-    return out, flagged
-
-
 @dataclass(frozen=True)
 class GramSystem:
-    """Gram matrix of the ordered basis (uplink then constraints) plus its
-    cached pseudo-inverse and assembly diagnostics."""
+    """The sampled basis system (uplink then constraints) and its truncated SVD.
+
+    ``singular_values`` are those of X, descending; the first ``rank`` are
+    kept.  ``right_vectors`` is V_k (L x rank), ``downlink_coords`` is
+    U_k^T Y (rank x 2N), ``residuals_sq`` the unclamped squared projection
+    residuals of the downlink kernels, and ``downlink_norms_sq`` their
+    closed-form squared norms.
+    """
 
     function_set: FunctionSet
     basis: tuple[AngularFunction, ...]
     G: np.ndarray
-    pinv_result: PinvResult
+    Q: np.ndarray
+    singular_values: np.ndarray
+    rank: int
+    right_vectors: np.ndarray
+    downlink_coords: np.ndarray
+    residuals_sq: np.ndarray
+    downlink_norms_sq: np.ndarray
     quad: QuadratureSpec
     pinv: PinvSpec
-    flagged_entries: tuple[tuple[int, int], ...]
 
     @property
     def L(self) -> int:
         return len(self.basis)
 
-    @property
-    def rank(self) -> int:
-        return self.pinv_result.rank
-
-    @property
-    def G_pinv(self) -> np.ndarray:
-        return self.pinv_result.pinv
+    def _whiten(self, z: np.ndarray) -> np.ndarray:
+        """S_k^-1 V_k^T z, so that z^T G^+ z is its squared norm."""
+        return (self.right_vectors.T @ np.asarray(z, dtype=float)) / \
+            self.singular_values[: self.rank]
 
     def quad_form(self, z: np.ndarray) -> float:
-        return self.pinv_result.quad_form(z)
+        """z^T G^+ z."""
+        t = self._whiten(z)
+        return float(np.dot(t, t))
 
     def apply_pinv(self, z: np.ndarray) -> np.ndarray:
-        return self.pinv_result.apply(z)
+        """G^+ z."""
+        return self.right_vectors @ (self._whiten(z) / self.singular_values[: self.rank])
 
 
 def build_gram_system(
@@ -129,38 +99,35 @@ def build_gram_system(
     quad: QuadratureSpec = QuadratureSpec(),
     pinv: PinvSpec = PinvSpec(),
 ) -> GramSystem:
-    """Assemble G over the basis (uplink + constraints) and cache G^+.
+    """Sample the basis and downlink kernels on one rule and factor the basis.
 
-    Unmasked pairs use the exact Bessel closed forms; pairs involving a
-    masked constraint integrate over the complement region.  Entries whose
-    quadrature failed to converge are listed in ``flagged_entries``.
+    Directions with ``s**2 > pinv.rel_cutoff * max(s)**2`` are kept, which is
+    the eigenvalue cutoff on G = X^T X.  ``quad`` is carried for the bound
+    report's configuration hash; the sampling rule does not depend on it.
     """
     basis = fs.basis
-    G, flagged = _pairwise_table(basis, basis, quad, symmetric=True)
-    result = pinv_psd(G, pinv)
-
-    lam_min = float(result.eigenvalues.min()) if result.eigenvalues.size else 0.0
-    if lam_min < -1e-9 * max(result.sigma_max, 1.0):
-        raise NumericalConsistencyError(
-            f"Gram matrix has significantly negative eigenvalue {lam_min:.3e}"
-        )
+    nodes, weights = sampling_rule(basis + fs.downlink)
+    X = sample(basis, nodes, weights)
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    Y = sample(fs.downlink, nodes, weights)  # after the SVD: lowers peak memory
+    rank = int(np.count_nonzero(s**2 > pinv.rel_cutoff * s[0] ** 2))
+    coords = U[:, :rank].T @ Y
+    resid = Y - U[:, :rank] @ coords
+    G = X.T @ X
     return GramSystem(
         function_set=fs,
         basis=basis,
-        G=G,
-        pinv_result=result,
+        G=0.5 * (G + G.T),  # exactly symmetric with any BLAS
+        Q=X.T @ Y,
+        singular_values=s,
+        rank=rank,
+        right_vectors=Vt[:rank].T,
+        downlink_coords=coords,
+        residuals_sq=np.einsum("ij,ij->j", resid, resid),
+        downlink_norms_sq=np.array([norm_sq(g, quad) for g in fs.downlink]),
         quad=quad,
         pinv=pinv,
-        flagged_entries=tuple(flagged),
     )
-
-
-def build_q_matrix(gs: GramSystem) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Q[j, k] = <x_j, g_d[k]>, shape L x 2N."""
-    Q, flagged = _pairwise_table(
-        gs.basis, gs.function_set.downlink, gs.quad, symmetric=False
-    )
-    return Q, tuple(flagged)
 
 
 @dataclass(frozen=True)
@@ -187,25 +154,16 @@ class ConversionOperator:
 
 
 def build_conversion_operator(gs: GramSystem) -> ConversionOperator:
-    """Build Q and collapse the two estimation steps into the matrix A."""
+    """Collapse the two estimation steps into A = (Y^T U_k S_k^-1 V_k^T)[:, :2N]."""
     fs = gs.function_set
-    two_n = 2 * fs.n
-    Q, _ = build_q_matrix(gs)
-
-    pr = gs.pinv_result
-    vk = pr.eigenvectors[:, pr.kept]
-    lam = pr.eigenvalues[pr.kept]
-    T = vk.T @ Q                      # kept x 2N
-    W = vk.T[:, :two_n]               # kept x 2N (uplink slots of r-underbar)
-    A = (T / lam[:, None]).T @ W if lam.size else np.zeros((two_n, two_n))
-
-    norms = np.array([norm_sq(g, gs.quad) for g in fs.downlink])
+    s_k = gs.singular_values[: gs.rank]
+    A = (gs.downlink_coords.T / s_k) @ gs.right_vectors[: 2 * fs.n].T
     return ConversionOperator(
         config=fs.config,
         support=fs.support,
-        Q_mat=Q,
+        Q_mat=gs.Q,
         A=A,
-        downlink_norms_sq=norms,
+        downlink_norms_sq=gs.downlink_norms_sq,
         rank=gs.rank,
         L=gs.L,
     )

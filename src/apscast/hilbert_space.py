@@ -4,8 +4,8 @@ Every function handled by the package is a trigonometric array-manifold
 kernel ``scale * cos(omega * sin(theta))`` or ``scale * sin(omega * sin(theta))``,
 optionally zeroed on a union of closed angle intervals (a support mask).
 Keeping functions symbolic gives exact Bessel closed forms for unmasked
-inner products and lets masked ones reduce, via product-to-sum identities,
-to cached single-frequency integrals over the unmasked region.
+inner products and lets the Gram engine sample every kernel on one
+quadrature rule with breaks at the mask edges.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericalConsistencyError
-from .numerics import QuadratureSpec, bessel_j0, integrate
+from .numerics import QuadratureSpec, bessel_j0, gauss_legendre, integrate
 
 __all__ = [
     "HALF_PI",
@@ -32,8 +31,9 @@ __all__ = [
     "inner_product_quadrature",
     "norm_sq",
     "mask",
-    "projection_coefficients",
-    "projection_residual",
+    "sampling_rule",
+    "sample",
+    "clamp_residual_sq",
     "RESIDUAL_CLAMP",
 ]
 
@@ -52,7 +52,7 @@ class Trig(enum.Enum):
 @dataclass(frozen=True)
 class SupportSet:
     """Finite union of disjoint closed intervals inside [-pi/2, pi/2],
-    kept sorted.  Hashable so kernel caches can key on it."""
+    kept sorted."""
 
     intervals: tuple[tuple[float, float], ...]
 
@@ -193,7 +193,7 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Inner products
+# Inner products (reference paths)
 # ---------------------------------------------------------------------------
 #
 # Unmasked closed forms over the full interval, via product-to-sum plus
@@ -201,45 +201,9 @@ class GridFunction:
 #   <cos(a s), cos(b s)> = (pi/2) (J0(a-b) + J0(a+b))
 #   <sin(a s), sin(b s)> = (pi/2) (J0(a-b) - J0(a+b))
 #   <cos(a s), sin(b s)> = 0                      (odd integrand)
-# Masked pairs use the same decomposition with the single-frequency integrals
-# taken over the common live region instead of the full interval; those
-# integrals are cached per (frequency, interval, quadrature) key.
-
-
-@lru_cache(maxsize=None)
-def _live_cos_integral(omega: float, a: float, b: float,
-                       quad: QuadratureSpec) -> tuple[float, bool]:
-    res = integrate(lambda t: np.cos(omega * np.sin(t)), a, b, quad)
-    return res.value, res.converged
-
-
-@lru_cache(maxsize=None)
-def _live_sin_integral(omega: float, a: float, b: float,
-                       quad: QuadratureSpec) -> tuple[float, bool]:
-    if omega == 0.0:
-        return 0.0, True
-    res = integrate(lambda t: np.sin(omega * np.sin(t)), a, b, quad)
-    return res.value, res.converged
-
-
-def _region_cos(omega: float, live: SupportSet, quad: QuadratureSpec) -> tuple[float, bool]:
-    omega = abs(omega)  # cosine integrand is even in omega
-    total, ok = 0.0, True
-    for a, b in live.intervals:
-        v, conv = _live_cos_integral(omega, a, b, quad)
-        total += v
-        ok &= conv
-    return total, ok
-
-
-def _region_sin(omega: float, live: SupportSet, quad: QuadratureSpec) -> tuple[float, bool]:
-    sign = -1.0 if omega < 0.0 else 1.0  # sine integrand is odd in omega
-    total, ok = 0.0, True
-    for a, b in live.intervals:
-        v, conv = _live_sin_integral(abs(omega), a, b, quad)
-        total += v
-        ok &= conv
-    return sign * total, ok
+# Masked pairs integrate the pointwise product over the common live region
+# with adaptive quadrature.  Gram systems never come through here: they are
+# assembled from the sampled basis (see ``sampling_rule``/``sample``).
 
 
 def _full_interval_pair(f: AngularFunction, g: AngularFunction) -> float:
@@ -259,6 +223,17 @@ def _joint_live_region(f: AngularFunction, g: AngularFunction) -> SupportSet:
     return combined.complement()
 
 
+def _quadrature_with_status(
+    f: AngularFunction, g: AngularFunction, quad: QuadratureSpec
+) -> tuple[float, bool]:
+    total, ok = 0.0, True
+    for a, b in _joint_live_region(f, g).intervals:
+        res = integrate(lambda t: f.kernel_values(t) * g.kernel_values(t), a, b, quad)
+        total += res.value
+        ok &= res.converged
+    return total, ok
+
+
 def inner_product_with_status(
     f: AngularFunction,
     g: AngularFunction,
@@ -267,28 +242,9 @@ def inner_product_with_status(
     """<f, g> plus a convergence flag for any quadrature involved."""
     if f.is_zero() or g.is_zero():
         return 0.0, True
-    scale = f.scale * g.scale
     if f.mask is None and g.mask is None:
-        return scale * _full_interval_pair(f, g), True
-
-    live = _joint_live_region(f, g)
-    if live.is_empty():
-        return 0.0, True
-
-    # product-to-sum on the live region
-    if f.trig is g.trig:
-        c_minus, ok1 = _region_cos(f.omega - g.omega, live, quad)
-        c_plus, ok2 = _region_cos(f.omega + g.omega, live, quad)
-        sign = 1.0 if f.trig is Trig.COSINE else -1.0
-        return scale * 0.5 * (c_minus + sign * c_plus), ok1 and ok2
-    # one cosine, one sine: cos(a s) sin(b s) = (sin((a+b)s) - sin((a-b)s))/2
-    if f.trig is Trig.COSINE:
-        a, b = f.omega, g.omega
-    else:
-        a, b = g.omega, f.omega
-    s_plus, ok1 = _region_sin(a + b, live, quad)
-    s_minus, ok2 = _region_sin(a - b, live, quad)
-    return scale * 0.5 * (s_plus - s_minus), ok1 and ok2
+        return f.scale * g.scale * _full_interval_pair(f, g), True
+    return _quadrature_with_status(f, g, quad)
 
 
 def inner_product(
@@ -299,8 +255,7 @@ def inner_product(
     """L2 inner product over [-pi/2, pi/2].
 
     Unmasked pairs evaluate through the exact J0 closed forms; pairs with a
-    mask integrate over the common live region with panel breaks at every
-    mask boundary.
+    mask go through ``inner_product_quadrature``.
     """
     value, _ = inner_product_with_status(f, g, quad)
     return value
@@ -311,17 +266,9 @@ def inner_product_quadrature(
     g: AngularFunction,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    """Reference path: direct adaptive quadrature of the pointwise product.
-
-    Used by tests to validate the closed-form/cached fast paths; never used
-    in the hot assembly loops.
-    """
-    live = _joint_live_region(f, g)
-    total = 0.0
-    for a, b in live.intervals:
-        res = integrate(lambda t: f.kernel_values(t) * g.kernel_values(t), a, b, quad)
-        total += res.value
-    return total
+    """Direct adaptive quadrature of the pointwise product over the common
+    live region, with panel breaks at every mask boundary."""
+    return _quadrature_with_status(f, g, quad)[0]
 
 
 def norm_sq(f: AngularFunction, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -342,28 +289,62 @@ def mask(f: AngularFunction, c_s: SupportSet) -> AngularFunction:
 
 
 # ---------------------------------------------------------------------------
-# Projection onto a finite span
+# Sampled basis (production Gram path)
 # ---------------------------------------------------------------------------
+#
+# Every kernel is sampled on one piecewise Gauss-Legendre rule over (0, pi/2),
+# mirrored onto (-pi/2, 0).  Rows come in even/odd pairs
+#   sqrt(w/2) (f(t) + f(-t)),   sqrt(w/2) (f(t) - f(-t)),
+# so the column dot product is the rule applied to f g over [-pi/2, pi/2].
+# An unmasked cosine has an exactly zero odd part and an unmasked sine an
+# exactly zero even part, so their sampled inner product is exactly 0, as in
+# the closed form.
 
 
-def _gather_z(basis: Sequence[AngularFunction], y: AngularFunction,
-              quad: QuadratureSpec) -> np.ndarray:
-    return np.array([inner_product(x, y, quad) for x in basis])
+def sampling_rule(funcs: Sequence[AngularFunction]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, pi/2) and weights for products of any two of ``funcs``.
+
+    Pieces are split at every mask edge (mirrored into (0, pi/2)), so each
+    masked kernel is smooth on each piece.  A piece of length h gets
+    ``ceil(0.55 * omega_max * h) + 30`` nodes, omega_max being the largest
+    kernel frequency; that keeps sampled Gram entries within ~1e-13 of the
+    closed forms.
+    """
+    omega_max = max((f.omega for f in funcs), default=0.0)
+    cuts = {abs(p) for f in funcs if f.mask is not None
+            for p in f.mask.boundary_points()}
+    edges = sorted({0.0, HALF_PI} | {p for p in cuts if 0.0 < p < HALF_PI})
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = gauss_legendre(math.ceil(0.55 * omega_max * (b - a)) + 30)
+        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * x)
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
-def projection_coefficients(
-    basis: Sequence[AngularFunction],
-    G_pinv: np.ndarray,
-    y: AngularFunction,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
-    """Coefficients alpha = G^+ z of the projection of y onto span(basis)."""
-    G_pinv = np.asarray(G_pinv, dtype=float)
-    if G_pinv.shape != (len(basis), len(basis)):
-        raise ContractError(
-            f"G_pinv shape {G_pinv.shape} does not match basis size {len(basis)}"
-        )
-    return G_pinv @ _gather_z(basis, y, quad)
+def sample(funcs: Sequence[AngularFunction], nodes: np.ndarray,
+           weights: np.ndarray) -> np.ndarray:
+    """Weighted even/odd samples, shape (2 * nodes, len(funcs)).
+
+    For columns x, y of the result, x @ y is the ``sampling_rule`` estimate
+    of the inner product of the two functions.
+    """
+    cosine = np.array([f.trig is Trig.COSINE for f in funcs])
+    plus = np.outer(np.sin(nodes), [f.omega for f in funcs])
+    np.cos(plus, out=plus, where=cosine)
+    np.sin(plus, out=plus, where=~cosine)
+    plus *= [f.scale for f in funcs]
+    minus = plus * np.where(cosine, 1.0, -1.0)
+    for j, f in enumerate(funcs):
+        if f.mask is not None:
+            plus[f.mask.contains(nodes), j] = 0.0
+            minus[f.mask.contains(-nodes), j] = 0.0
+    m = nodes.size
+    out = np.empty((2 * m, len(funcs)))
+    np.add(plus, minus, out=out[:m])
+    np.subtract(plus, minus, out=out[m:])
+    out *= np.sqrt(0.5 * np.tile(weights, 2))[:, None]
+    return out
 
 
 def clamp_residual_sq(rad: float, clamp: float = RESIDUAL_CLAMP) -> float:
@@ -382,20 +363,3 @@ def clamp_residual_sq(rad: float, clamp: float = RESIDUAL_CLAMP) -> float:
     if abs(rad) <= clamp:
         return 0.0
     return rad
-
-
-def projection_residual(
-    y: AngularFunction,
-    basis: Sequence[AngularFunction],
-    G_pinv: np.ndarray,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Distance from y to span(basis): sqrt(||y||^2 - z^T G^+ z)."""
-    G_pinv = np.asarray(G_pinv, dtype=float)
-    if G_pinv.shape != (len(basis), len(basis)):
-        raise ContractError(
-            f"G_pinv shape {G_pinv.shape} does not match basis size {len(basis)}"
-        )
-    z = _gather_z(basis, y, quad)
-    rad = norm_sq(y, quad) - float(z @ (G_pinv @ z))
-    return math.sqrt(clamp_residual_sq(rad))

@@ -1,10 +1,10 @@
-"""Low-level numerical primitives: J0, adaptive quadrature, PSD pseudo-inverse.
+"""Low-level numerical primitives: J0, Gauss-Legendre rules, PSD pseudo-inverse.
 
-Everything downstream (inner products, Gram systems, error bounds) reduces to
-these three operations, so their accuracy targets are deliberately tight:
-J0 to ~1e-15 absolute, quadrature to the requested tolerance on smooth
-integrands, and an eigendecomposition-based pseudo-inverse that reports its
-numerical rank.
+The production engine needs only fixed Gauss-Legendre rules; J0, the
+adaptive quadrature and the eigendecomposition-based pseudo-inverse are the
+independent reference paths its tests check it against.  Accuracy targets
+are deliberately tight: J0 to ~1e-15 absolute, quadrature to the requested
+tolerance on smooth integrands.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "QuadratureResult",
     "PinvResult",
     "bessel_j0",
+    "gauss_legendre",
     "integrate",
     "pinv_psd",
 ]
@@ -55,13 +56,12 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class PinvSpec:
-    """Relative singular-value cutoff for the PSD pseudo-inverse.
+    """Relative eigenvalue cutoff for the Gram pseudo-inverse.
 
-    Eigenvalues with magnitude below ``rel_cutoff * max|eigenvalue|`` are
-    treated as exact zeros.  The default 1e-5 keeps quadratic forms in the
-    pseudo-inverse accurate to ~1e-11 in double precision; much smaller
-    cutoffs retain eigendirections whose reciprocals amplify rounding noise
-    past the residual clamp tolerance (see hilbert_space.projection_residual).
+    Eigenvalues of G below ``rel_cutoff * max eigenvalue`` are treated as
+    exact zeros.  The engine factors the sampled basis X (G = X^T X), so it
+    keeps the singular values s of X with ``s**2 > rel_cutoff * max(s)**2``:
+    the cutoff is on squared singular values of X, not on singular values.
     """
 
     rel_cutoff: float = 1e-5
@@ -94,13 +94,11 @@ class PinvResult:
     """Pseudo-inverse with spectral diagnostics.
 
     ``eigenvalues``/``eigenvectors`` hold the full symmetric eigensystem and
-    ``kept`` flags the retained directions.  Quadratic forms z^T G^+ z should
-    be evaluated through the eigenbasis (see ``quad_form``) rather than the
-    dense ``pinv`` matrix: the dense entries are O(1/lambda_min) and their
-    cancellation destroys small quadratic forms.
+    ``kept`` flags the retained directions.  G^+ is never formed densely:
+    its entries are O(1/lambda_min) and their cancellation destroys small
+    quadratic forms, so ``quad_form`` and ``apply`` work in the eigenbasis.
     """
 
-    pinv: np.ndarray
     rank: int
     sigma_max: float
     sigma_min_retained: float
@@ -121,10 +119,10 @@ class PinvResult:
         return float(np.dot(t, t / lam))
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """G^+ z evaluated in the eigenbasis."""
+        """G^+ z evaluated in the eigenbasis; z may be a vector or a matrix."""
         vk = self.eigenvectors[:, self.kept]
         lam = self.eigenvalues[self.kept]
-        return vk @ ((vk.T @ np.asarray(z, dtype=float)) / lam)
+        return vk @ ((vk.T @ np.asarray(z, dtype=float)).T / lam).T
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,8 @@ def bessel_j0(x: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -268,7 +267,7 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                     order: int) -> float:
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = gauss_legendre(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(np.dot(weights, f(mid + half * nodes)))
@@ -359,10 +358,7 @@ def pinv_psd(G: np.ndarray, spec: PinvSpec = PinvSpec()) -> PinvResult:
     rank = int(kept.sum())
     sigma_min = float(np.abs(eigenvalues[kept]).min()) if rank else 0.0
 
-    vk = eigenvectors[:, kept]
-    pinv = (vk / eigenvalues[kept]) @ vk.T if rank else np.zeros_like(Gs)
     return PinvResult(
-        pinv=pinv,
         rank=rank,
         sigma_max=sigma_max,
         sigma_min_retained=sigma_min,

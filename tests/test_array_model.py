@@ -65,10 +65,6 @@ class TestBuildFunctionSet:
         assert fs.constraints == ()
         assert fs.support is None
 
-    def test_masked_uplink_flag(self, reference_cfg, c_s_right):
-        fs = build_function_set(reference_cfg, c_s_right, include_masked_uplink=True)
-        assert len(fs.constraints) == 4 * reference_cfg.n_antennas
-
     def test_basis_ordering(self, reference_cfg, c_s_right):
         fs = build_function_set(reference_cfg, c_s_right)
         assert fs.basis[: 2 * fs.n] == fs.uplink
