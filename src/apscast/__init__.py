@@ -27,19 +27,6 @@ from .conversion import (
     load_operator,
 )
 from .errors import ApscastError, ContractError, NumericalConsistencyError
-from .experiments import (
-    ApsModel,
-    ApsPeak,
-    OracleSpec,
-    oracle_residual,
-    random_aps_model,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    synthesize_covariance,
-    synthesize_r_vector,
-    two_path_model,
-)
 from .hilbert_space import (
     AngularFunction,
     GridFunction,
@@ -51,6 +38,31 @@ from .hilbert_space import (
 from .numerics import PinvSpec, QuadratureSpec, bessel_j0, integrate, pinv_psd
 
 __version__ = "1.0.0"
+
+# The figure drivers and spectrum synthesis load on first use (PEP 562), so a
+# process that only converts never imports them.
+_EXPERIMENTS = frozenset({
+    "ApsModel",
+    "ApsPeak",
+    "OracleSpec",
+    "oracle_residual",
+    "random_aps_model",
+    "run_fig1",
+    "run_fig2",
+    "run_fig3",
+    "synthesize_covariance",
+    "synthesize_r_vector",
+    "two_path_model",
+})
+
+
+def __getattr__(name: str):
+    if name in _EXPERIMENTS:
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AngularFunction",

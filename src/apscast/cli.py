@@ -6,7 +6,7 @@ Subcommands:
   fig2            realized errors for the two-path spectrum (fig2.csv)
   fig3            spectrum estimates on a grid (fig3.csv)
   convert         convert one covariance file uplink -> downlink
-  export-operator persist the conversion operator (A, G, Q) as JSON
+  export-operator persist the conversion operator A and its metadata as JSON
 
 Configuration is a strict JSON document; unknown keys are rejected.  All
 numeric defaults mirror the reference 30-antenna array.  Exit codes:
@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,22 +33,16 @@ from .conversion import (
     convert,
     export_operator,
     load_operator,
+    load_strict_json,
 )
 from .errors import ContractError, NumericalConsistencyError
-from .experiments import (
-    ApsModel,
-    ApsPeak,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    two_path_model,
-    write_fig1_csv,
-    write_fig2_csv,
-    write_fig3_csv,
-    write_metadata,
-)
 from .hilbert_space import SupportSet
 from .numerics import PinvSpec, QuadratureSpec
+
+# experiments (figure drivers, spectrum synthesis) is imported inside the
+# functions that use it, so that ``convert --operator`` never loads it.
+if TYPE_CHECKING:
+    from .experiments import ApsModel
 
 __all__ = ["main", "RunConfig"]
 
@@ -78,6 +73,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        from .experiments import ApsModel, ApsPeak, two_path_model
+
         _reject_unknown(doc, _TOP_KEYS, "config")
 
         array_doc = doc.get("array", {})
@@ -162,18 +159,7 @@ class RunConfig:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    doc: dict = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ContractError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ContractError(
-                f"config file {args.config} is not valid JSON "
-                f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
-            ) from exc
+    doc = load_strict_json(args.config, "config file") if args.config else {}
     cfg = RunConfig.from_dict(doc)
     if getattr(args, "support", None):
         vals = args.support
@@ -197,16 +183,7 @@ def _out_path(args: argparse.Namespace, default_name: str) -> str:
 
 
 def _read_covariance(path: str) -> HermitianToeplitzCov:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ContractError(f"covariance file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ContractError(
-            f"covariance file {path} is not valid JSON "
-            f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
+    doc = load_strict_json(path, "covariance file")
     _reject_unknown(doc, {"n", "first_col_re", "first_col_im"}, "covariance file")
     try:
         n = int(doc["n"])
@@ -218,6 +195,8 @@ def _read_covariance(path: str) -> HermitianToeplitzCov:
         raise ContractError(
             f"covariance file {path}: first_col_re/first_col_im must have length n={n}"
         )
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ContractError(f"covariance file {path}: entries must be finite")
     return HermitianToeplitzCov(re + 1j * im)
 
 
@@ -227,9 +206,12 @@ def _write_covariance(path: str, cov: HermitianToeplitzCov) -> None:
         "first_col_re": cov.first_col.real.tolist(),
         "first_col_im": cov.first_col.imag.tolist(),
     }
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalConsistencyError(f"converted covariance is not finite: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +220,8 @@ def _write_covariance(path: str, cov: HermitianToeplitzCov) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .experiments import write_metadata
+
     cfg = _load_config(args)
     fs = build_function_set(cfg.array, cfg.support)
     gs = build_gram_system(fs, cfg.quad, cfg.pinv)
@@ -252,6 +236,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
+    from .experiments import run_fig1, write_fig1_csv, write_metadata
+
     cfg = _load_config(args)
     result = run_fig1(cfg.array, cfg.support, cfg.B, cfg.quad, cfg.pinv)
     path = _out_path(args, "fig1.csv")
@@ -266,6 +252,8 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
+    from .experiments import run_fig2, write_fig2_csv, write_metadata
+
     cfg = _load_config(args)
     result = run_fig2(cfg.array, cfg.support, cfg.aps, cfg.B, cfg.quad, cfg.pinv)
     path = _out_path(args, "fig2.csv")
@@ -282,6 +270,8 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
+    from .experiments import run_fig3, write_fig3_csv, write_metadata
+
     cfg = _load_config(args)
     result = run_fig3(cfg.array, cfg.support, cfg.aps, cfg.grid_points,
                       cfg.quad, cfg.pinv)
@@ -319,7 +309,7 @@ def _cmd_export_operator(args: argparse.Namespace) -> int:
     gs = build_gram_system(fs, cfg.quad, cfg.pinv)
     op = build_conversion_operator(gs)
     path = _out_path(args, "operator.json")
-    export_operator(path, op, G=gs.G)
+    export_operator(path, op)
     print(f"wrote {path} (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})")
     return 0
 

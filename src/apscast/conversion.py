@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -137,12 +138,13 @@ class ConversionOperator:
     ``A`` is Q^T G^+ restricted to its first 2N columns, so that
     [Re(col); Im(col)] of the converted covariance equals A @ r.  It depends
     only on the array geometry and support information, so it is built once
-    and reused for every covariance.
+    and reused for every covariance.  ``downlink_norms_sq``, ``rank`` and
+    ``L`` (the basis size) describe the build; G and Q stay on the
+    ``GramSystem``.
     """
 
     config: UlaConfig
     support: SupportSet | None
-    Q_mat: np.ndarray
     A: np.ndarray
     downlink_norms_sq: np.ndarray
     rank: int
@@ -161,7 +163,6 @@ def build_conversion_operator(gs: GramSystem) -> ConversionOperator:
     return ConversionOperator(
         config=fs.config,
         support=fs.support,
-        Q_mat=gs.Q,
         A=A,
         downlink_norms_sq=gs.downlink_norms_sq,
         rank=gs.rank,
@@ -293,6 +294,8 @@ def _config_to_dict(cfg: UlaConfig) -> dict:
 
 
 def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dict:
+    """The operator as a JSON-ready document.  ``G`` is written only when
+    given; no reader needs it."""
     doc = {
         "n": op.n,
         "L": op.L,
@@ -300,7 +303,6 @@ def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dic
         "rank": op.rank,
         "config": _config_to_dict(op.config),
         "support": [list(iv) for iv in op.support.intervals] if op.support else [],
-        "Q": op.Q_mat.tolist(),
         "downlink_norms_sq": op.downlink_norms_sq.tolist(),
     }
     if G is not None:
@@ -309,34 +311,69 @@ def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dic
 
 
 def operator_from_dict(doc: dict) -> ConversionOperator:
+    """Build the operator from a document after checking its shapes, that
+    its numbers are finite, and that n, L and rank agree.  Keys other than
+    those ``operator_to_dict`` writes (such as ``G`` and ``Q`` in older
+    files) are ignored."""
     try:
         cfg = UlaConfig(**doc["config"])
         support_ivs = doc.get("support") or []
         support = SupportSet(support_ivs) if support_ivs else None
         A = np.asarray(doc["A"], dtype=float)
-        Q = np.asarray(doc["Q"], dtype=float)
         norms = np.asarray(doc["downlink_norms_sq"], dtype=float)
         n = int(doc["n"])
         L = int(doc["L"])
         rank = int(doc["rank"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed operator document: {exc}") from exc
+    if n != cfg.n_antennas:
+        raise ContractError(f"n = {n} does not match config.n_antennas = {cfg.n_antennas}")
     if A.shape != (2 * n, 2 * n):
         raise ContractError(f"A must have shape ({2*n}, {2*n}), got {A.shape}")
-    if Q.shape != (L, 2 * n):
-        raise ContractError(f"Q must have shape ({L}, {2*n}), got {Q.shape}")
+    if norms.shape != (2 * n,):
+        raise ContractError(f"downlink_norms_sq must have shape ({2*n},), got {norms.shape}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(norms))):
+        raise ContractError("A and downlink_norms_sq must be finite")
+    if L < 2 * n:
+        raise ContractError(f"L must be >= 2n = {2*n}, got {L}")
+    if not 0 <= rank <= L:
+        raise ContractError(f"rank must be in 0..L = 0..{L}, got {rank}")
     return ConversionOperator(
-        config=cfg, support=support, Q_mat=Q, A=A,
+        config=cfg, support=support, A=A,
         downlink_norms_sq=norms, rank=rank, L=L,
     )
 
 
+def _reject_constant(token: str) -> NoReturn:
+    raise ContractError(f"non-finite number {token} is not allowed")
+
+
+def load_strict_json(path: str, what: str):
+    """Parse ``path`` as strict JSON (no NaN or Infinity tokens).  Every
+    failure is a ContractError that names ``what`` and the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise ContractError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ContractError(
+            f"{what} {path} is not valid JSON "
+            f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
+    except ContractError as exc:
+        raise ContractError(f"{what} {path}: {exc}") from exc
+
+
 def export_operator(path: str, op: ConversionOperator, G: np.ndarray | None = None) -> None:
+    text = json.dumps(operator_to_dict(op, G), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(operator_to_dict(op, G), fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_operator(path: str) -> ConversionOperator:
-    with open(path, "r", encoding="utf-8") as fh:
-        return operator_from_dict(json.load(fh))
+    doc = load_strict_json(path, "operator file")
+    try:
+        return operator_from_dict(doc)
+    except ContractError as exc:
+        raise ContractError(f"operator file {path}: {exc}") from exc

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import apscast
 from apscast.cli import RunConfig, main
 from apscast.errors import ContractError, NumericalConsistencyError
 
@@ -193,9 +197,28 @@ class TestCommands:
         assert main(["export-operator", "--config", small_config_file,
                      "-o", str(op_path)]) == 0
         doc = json.loads(op_path.read_text())
-        assert {"n", "L", "A", "rank", "config", "support", "G", "Q"} <= set(doc)
+        assert set(doc) == {"n", "L", "A", "rank", "config", "support",
+                            "downlink_norms_sq"}
         assert doc["n"] == 4 and doc["L"] == 16
         assert len(doc["A"]) == 8 and len(doc["A"][0]) == 8
+
+
+class TestColdImport:
+    def test_cli_import_leaves_experiments_unloaded(self):
+        """``convert --operator`` needs no figure driver or synthesis code."""
+        src = os.path.dirname(os.path.dirname(apscast.__file__))
+        code = ("import sys, apscast.cli; "
+                "print('apscast.experiments' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_every_public_name_resolves(self):
+        for name in apscast.__all__:
+            assert getattr(apscast, name) is not None, name
+        with pytest.raises(AttributeError):
+            apscast.no_such_name
 
 
 class TestErrorPaths:
@@ -216,6 +239,15 @@ class TestErrorPaths:
                      "--input", str(tmp_path / "nope.json"),
                      "-o", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_operator_exits_1(self, tmp_path, capsys, name):
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 1, "first_col_re": [1.0], "first_col_im": [0.0]}))
+        op_path = tmp_path / name
+        assert main(["convert", "--operator", str(op_path), "--input", str(inp),
+                     "-o", str(tmp_path / "out.json")]) == 1
+        assert str(op_path) in capsys.readouterr().err
+
     def test_odd_support_values_exit_1(self, tmp_path, small_config_file):
         assert main(["bounds", "--config", small_config_file,
                      "-o", str(tmp_path), "--support", "0.0"]) == 1
@@ -227,6 +259,62 @@ class TestErrorPaths:
         }))
         assert main(["convert", "--config", recip_config_file,
                      "--input", str(inp), "-o", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("token", ["NaN", "1e400"])
+    def test_non_finite_covariance_exits_1(self, tmp_path, recip_config_file,
+                                           capsys, token):
+        inp = tmp_path / "cov.json"
+        inp.write_text('{"n": 2, "first_col_re": [1.0, %s], '
+                       '"first_col_im": [0.0, 0.0]}' % token)
+        out = tmp_path / "out.json"
+        assert main(["convert", "--config", recip_config_file,
+                     "--input", str(inp), "-o", str(out)]) == 1
+        assert str(inp) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_config_token_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"pinv": {"rel_cutoff": NaN}}')
+        assert main(["bounds", "--config", str(bad), "-o", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "NaN" in err
+
+    def test_corrupt_operator_exits_1(self, tmp_path, small_config_file, capsys):
+        """Infinity in A and an impossible rank: rejected before converting."""
+        op_path = tmp_path / "op.json"
+        assert main(["export-operator", "--config", small_config_file,
+                     "-o", str(op_path)]) == 0
+        doc = json.loads(op_path.read_text())
+        doc["rank"] = 10**6
+        doc["A"][0][0] = math.inf
+        op_path.write_text(json.dumps(doc))  # writes the token Infinity
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 4, "first_col_re": [1.0, 0.0, 0.0, 0.0],
+                                   "first_col_im": [0.0, 0.0, 0.0, 0.0]}))
+        out = tmp_path / "out.json"
+        assert main(["convert", "--operator", str(op_path),
+                     "--input", str(inp), "-o", str(out)]) == 1
+        assert str(op_path) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_conversion_exits_2(self, tmp_path, small_config_file, capsys):
+        """Finite input, finite operator, non-finite product: no file is written."""
+        op_path = tmp_path / "op.json"
+        assert main(["export-operator", "--config", small_config_file,
+                     "-o", str(op_path)]) == 0
+        doc = json.loads(op_path.read_text())
+        doc["A"] = [[0.0 if i == 4 else 2.0] * 8 for i in range(8)]  # Im c_0 = 0
+        op_path.write_text(json.dumps(doc))
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 4, "first_col_re": [1e308] * 4,
+                                   "first_col_im": [0.0] * 4}))
+        out = tmp_path / "out.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["convert", "--operator", str(op_path),
+                         "--input", str(inp), "-o", str(out)])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_consistency_exits_2(self, monkeypatch, tmp_path,
                                            small_config_file):

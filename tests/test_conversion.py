@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -90,7 +91,7 @@ class TestConversionOperator:
     def test_shape_with_support(self, gs_ref_si):
         op = build_conversion_operator(gs_ref_si)
         assert op.A.shape == (60, 60)
-        assert op.Q_mat.shape == (120, 60)
+        assert gs_ref_si.Q.shape == (120, 60)
         assert op.L == 120
 
     def test_identity_on_achievable_vectors(self, recip_cfg, rng):
@@ -210,13 +211,34 @@ class TestEstimateAps:
         np.testing.assert_allclose(resat[2 * n:], b, atol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def small_operator_doc():
+    """Operator document for N=4 with support [0, pi/2] (L = 16)."""
+    fs = build_function_set(UlaConfig.reference(n_antennas=4), SupportSet([[0.0, HALF_PI]]))
+    return operator_to_dict(build_conversion_operator(build_gram_system(fs)))
+
+
+# One broken invariant each, as a replacement of top-level keys.
+_BREAKS = {
+    "A-inf": lambda d: {"A": [[math.inf] + d["A"][0][1:]] + d["A"][1:]},
+    "A-nan": lambda d: {"A": [[math.nan] + d["A"][0][1:]] + d["A"][1:]},
+    "norms-nan": lambda d: {"downlink_norms_sq": [math.nan] + d["downlink_norms_sq"][1:]},
+    "norms-shape": lambda d: {"downlink_norms_sq": d["downlink_norms_sq"][:-1]},
+    "L-below-2n": lambda d: {"L": 3},
+    "rank-negative": lambda d: {"rank": -1},
+    "rank-above-L": lambda d: {"rank": d["L"] + 1},
+    "n-vs-config": lambda d: {"config": d["config"] | {"n_antennas": 5}},
+}
+
+
 class TestOperatorSerialization:
     def test_round_trip_dict(self, gs_ref_si):
         op = build_conversion_operator(gs_ref_si)
         doc = operator_to_dict(op, G=gs_ref_si.G)
         back = operator_from_dict(json.loads(json.dumps(doc)))
         np.testing.assert_array_equal(back.A, op.A)
-        np.testing.assert_array_equal(back.Q_mat, op.Q_mat)
+        np.testing.assert_array_equal(back.downlink_norms_sq, op.downlink_norms_sq)
+        assert back.L == op.L
         assert back.rank == op.rank
         assert back.support.intervals == op.support.intervals
 
@@ -235,3 +257,40 @@ class TestOperatorSerialization:
     def test_malformed_document_rejected(self):
         with pytest.raises(ContractError):
             operator_from_dict({"n": 2})
+
+    def test_older_document_with_g_and_q_loads(self, gs_ref_si, rng):
+        """Files written before the slim format also carry G and Q; they load
+        and convert exactly like the slim document."""
+        fs = gs_ref_si.function_set
+        op = build_conversion_operator(gs_ref_si)
+        slim = operator_to_dict(op)
+        old = dict(slim, G=gs_ref_si.G.tolist(), Q=gs_ref_si.Q.tolist())
+        a = operator_from_dict(json.loads(json.dumps(slim)))
+        b = operator_from_dict(json.loads(json.dumps(old)))
+        aps = random_aps_model(rng, SupportSet([[0.0, HALF_PI]]))
+        cov = synthesize_covariance(aps, fs, "uplink")
+        np.testing.assert_array_equal(convert(a, cov).first_col,
+                                      convert(b, cov).first_col)
+
+    @pytest.mark.parametrize("change", _BREAKS.values(), ids=_BREAKS.keys())
+    def test_inconsistent_document_rejected(self, small_operator_doc, change):
+        doc = small_operator_doc
+        operator_from_dict(doc)
+        with pytest.raises(ContractError):
+            operator_from_dict(doc | change(doc))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_in_file_rejected(self, tmp_path, small_operator_doc, token):
+        text = json.dumps(small_operator_doc).replace('"A": [[', f'"A": [[{token}, ', 1)
+        path = tmp_path / "op.json"
+        path.write_text(text)
+        with pytest.raises(ContractError, match=f"{token}.*not allowed"):
+            load_operator(str(path))
+
+    def test_export_writes_strict_json(self, tmp_path, gs_ref_si):
+        op = build_conversion_operator(gs_ref_si)
+        bad = dataclasses.replace(op, A=np.full_like(op.A, np.inf))
+        path = tmp_path / "op.json"
+        with pytest.raises(ValueError):
+            export_operator(str(path), bad)
+        assert not path.exists()
