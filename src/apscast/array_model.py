@@ -12,7 +12,7 @@ rank deficiency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,9 @@ class UlaConfig:
 class FunctionSet:
     """Ordered first-column function sets plus optional support constraints.
 
-    ``index_convention``: slots 1..N are the real parts of the covariance
-    first column, slots N+1..2N the imaginary parts; ``constraints[j]`` is
-    the masked downlink function P_K(g_d[j]) with constraint value 0.
+    Slots 1..N are the real parts of the covariance first column, slots
+    N+1..2N the imaginary parts; ``constraints[j]`` is the masked downlink
+    function P_K(g_d[j]) with constraint value 0.
     """
 
     config: UlaConfig
@@ -89,9 +89,6 @@ class FunctionSet:
     downlink: tuple[AngularFunction, ...]
     constraints: tuple[AngularFunction, ...]
     support: SupportSet | None
-    index_convention: str = field(
-        default="slots 1..N: Real(first column); slots N+1..2N: Imag(first column)"
-    )
 
     @property
     def n(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import ConversionOperator, GramSystem
+from .conversion import ConversionOperator, GramSystem, config_to_dict
 from .errors import ContractError, NumericalConsistencyError
 from .hilbert_space import norm_sq  # noqa: F401  unused; bench/tracing.py wraps it here
 
@@ -75,15 +75,7 @@ class BoundReport:
 
 def _config_hash(gs: GramSystem, B: float) -> str:
     fs = gs.function_set
-    cfg = fs.config
-    payload = {
-        "array": [cfg.n_antennas, cfg.spacing, cfg.f_up, cfg.f_down, cfg.wave_speed],
-        "support": list(fs.support.intervals) if fs.support else [],
-        "B": B,
-        "quad": [gs.quad.panel_order, gs.quad.abs_tol, gs.quad.rel_tol,
-                 gs.quad.max_subdivisions],
-        "pinv": gs.pinv.rel_cutoff,
-    }
+    payload = config_to_dict(fs.config, fs.support, B=B, pinv=gs.pinv)
     return hashlib.md5(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 

@@ -8,14 +8,16 @@ Subcommands:
   convert         convert one covariance file uplink -> downlink
   export-operator persist the conversion operator A and its metadata as JSON
 
-Configuration is a strict JSON document; unknown keys are rejected.  All
-numeric defaults mirror the reference 30-antenna array.  Exit codes:
-0 success, 1 validation/contract error, 2 numerical-consistency error.
+Configuration is a strict JSON document; unknown keys and values of the
+wrong kind are rejected.  All numeric defaults mirror the reference
+30-antenna array.  Exit codes: 0 success, 1 validation/contract error,
+2 numerical-consistency error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,10 +32,15 @@ from .conversion import (
     HermitianToeplitzCov,
     build_conversion_operator,
     build_gram_system,
+    config_to_dict,
     convert,
     export_operator,
+    json_number,
+    json_object,
     load_operator,
     load_strict_json,
+    spec_from_dict,
+    support_from_list,
 )
 from .errors import ContractError, NumericalConsistencyError
 from .hilbert_space import SupportSet
@@ -46,116 +53,60 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "RunConfig"]
 
-_ARRAY_KEYS = {"n_antennas", "spacing", "f_up", "f_down", "wave_speed"}
-_QUAD_KEYS = {"panel_order", "abs_tol", "rel_tol", "max_subdivisions"}
-_PINV_KEYS = {"rel_cutoff"}
-_APS_KEYS = {"peaks", "normalization"}
-_PEAK_KEYS = {"center", "scale", "weight"}
-_TOP_KEYS = {"array", "support", "B", "quad", "pinv", "aps", "seed", "grid_points"}
-
-
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ContractError(f"unknown keys in {where}: {sorted(unknown)}")
-
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's configuration; its fields are the config file's keys."""
+
     array: UlaConfig
     support: SupportSet | None
     B: float
     quad: QuadratureSpec
     pinv: PinvSpec
     aps: ApsModel
-    seed: int
     grid_points: int
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Read a config document; every key is optional and checked."""
         from .experiments import ApsModel, ApsPeak, two_path_model
 
-        _reject_unknown(doc, _TOP_KEYS, "config")
-
-        array_doc = doc.get("array", {})
-        _reject_unknown(array_doc, _ARRAY_KEYS, "config.array")
-        defaults = UlaConfig.reference()
-        array = UlaConfig(
-            n_antennas=int(array_doc.get("n_antennas", defaults.n_antennas)),
-            spacing=float(array_doc.get("spacing", defaults.spacing)),
-            f_up=float(array_doc.get("f_up", defaults.f_up)),
-            f_down=float(array_doc.get("f_down", defaults.f_down)),
-            wave_speed=float(array_doc.get("wave_speed", defaults.wave_speed)),
-        )
-
-        support = None
-        if "support" in doc and doc["support"]:
-            ivs = doc["support"]
-            if not (isinstance(ivs, list) and
-                    all(isinstance(p, list) and len(p) == 2 for p in ivs)):
-                raise ContractError("config.support must be a list of [a, b] pairs")
-            support = SupportSet(ivs)
-
-        quad_doc = doc.get("quad", {})
-        _reject_unknown(quad_doc, _QUAD_KEYS, "config.quad")
-        quad = QuadratureSpec(**{k: quad_doc[k] for k in quad_doc})
-
-        pinv_doc = doc.get("pinv", {})
-        _reject_unknown(pinv_doc, _PINV_KEYS, "config.pinv")
-        pinv = PinvSpec(**{k: pinv_doc[k] for k in pinv_doc})
-
-        if "aps" in doc:
-            aps_doc = doc["aps"]
-            _reject_unknown(aps_doc, _APS_KEYS, "config.aps")
-            peaks = []
-            for p in aps_doc.get("peaks", []):
-                _reject_unknown(p, _PEAK_KEYS, "config.aps.peaks[]")
-                peaks.append(ApsPeak(**p))
-            aps = ApsModel(
-                peaks=tuple(peaks),
-                normalization=aps_doc.get("normalization", "unit_norm"),
-                quad=quad,
-            )
-        else:
-            aps = two_path_model()
-
-        B = float(doc.get("B", 1.0))
+        json_object(doc, {f.name for f in dataclasses.fields(cls)}, "config")
+        B = json_number(doc.get("B", 1.0), float, "config.B")
         if B <= 0.0:
-            raise ContractError(f"B must be positive, got {B}")
-        grid_points = int(doc.get("grid_points", 1024))
+            raise ContractError(f"config.B must be positive, got {B}")
+        grid_points = json_number(doc.get("grid_points", 1024), int, "config.grid_points")
         if grid_points < 3:
-            raise ContractError("grid_points must be >= 3")
+            raise ContractError("config.grid_points must be >= 3")
+        quad = spec_from_dict(QuadratureSpec, doc.get("quad", {}), "config.quad",
+                              QuadratureSpec())
+        aps_doc = json_object(doc.get("aps", {}), {"peaks", "normalization"}, "config.aps")
+        peaks = two_path_model().peaks
+        if "peaks" in aps_doc:
+            if not isinstance(aps_doc["peaks"], list):
+                raise ContractError("config.aps.peaks must be a list of peak objects")
+            peaks = tuple(spec_from_dict(ApsPeak, p, f"config.aps.peaks[{i}]")
+                          for i, p in enumerate(aps_doc["peaks"]))
         return cls(
-            array=array,
-            support=support,
+            array=spec_from_dict(UlaConfig, doc.get("array", {}), "config.array",
+                                 UlaConfig.reference()),
+            support=support_from_list(doc.get("support", []), "config.support"),
             B=B,
             quad=quad,
-            pinv=pinv,
-            aps=aps,
-            seed=int(doc.get("seed", 0)),
+            pinv=spec_from_dict(PinvSpec, doc.get("pinv", {}), "config.pinv", PinvSpec()),
+            aps=ApsModel(peaks=peaks, quad=quad,
+                         normalization=aps_doc.get("normalization", "unit_norm")),
             grid_points=grid_points,
         )
 
-    def metadata(self) -> dict:
-        return {
-            "array": {
-                "n_antennas": self.array.n_antennas,
-                "spacing": self.array.spacing,
-                "f_up": self.array.f_up,
-                "f_down": self.array.f_down,
-                "wave_speed": self.array.wave_speed,
-            },
-            "support": [list(iv) for iv in self.support.intervals] if self.support else [],
-            "B": self.B,
-            "quad": {
-                "panel_order": self.quad.panel_order,
-                "abs_tol": self.quad.abs_tol,
-                "rel_tol": self.quad.rel_tol,
-                "max_subdivisions": self.quad.max_subdivisions,
-            },
-            "pinv": {"rel_cutoff": self.pinv.rel_cutoff},
-            "seed": self.seed,
-        }
+    def to_dict(self) -> dict:
+        """The config document ``from_dict`` reads back to this config."""
+        return config_to_dict(
+            self.array, self.support, B=self.B, quad=self.quad, pinv=self.pinv,
+            aps={"peaks": [dataclasses.asdict(p) for p in self.aps.peaks],
+                 "normalization": self.aps.normalization},
+            grid_points=self.grid_points,
+        )
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -166,10 +117,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if len(vals) % 2 != 0:
             raise ContractError("--support takes an even number of values (a b pairs)")
         pairs = [[vals[i], vals[i + 1]] for i in range(0, len(vals), 2)]
-        cfg = RunConfig(
-            array=cfg.array, support=SupportSet(pairs), B=cfg.B, quad=cfg.quad,
-            pinv=cfg.pinv, aps=cfg.aps, seed=cfg.seed, grid_points=cfg.grid_points,
-        )
+        cfg = dataclasses.replace(cfg, support=SupportSet(pairs))
     return cfg
 
 
@@ -183,8 +131,8 @@ def _out_path(args: argparse.Namespace, default_name: str) -> str:
 
 
 def _read_covariance(path: str) -> HermitianToeplitzCov:
-    doc = load_strict_json(path, "covariance file")
-    _reject_unknown(doc, {"n", "first_col_re", "first_col_im"}, "covariance file")
+    doc = json_object(load_strict_json(path, "covariance file"),
+                      {"n", "first_col_re", "first_col_im"}, f"covariance file {path}")
     try:
         n = int(doc["n"])
         re = np.asarray(doc["first_col_re"], dtype=float)
@@ -224,12 +172,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args)
     fs = build_function_set(cfg.array, cfg.support)
-    gs = build_gram_system(fs, cfg.quad, cfg.pinv)
+    gs = build_gram_system(fs, cfg.pinv)
     report = compute_bounds(gs, cfg.B)
     path = _out_path(args, "bounds.csv")
     write_bounds_csv(path, report)
-    meta = cfg.metadata() | {"gram_rank": gs.rank, "L": gs.L,
-                             "config_hash": report.config_hash}
+    meta = cfg.to_dict() | {"gram_rank": gs.rank, "L": gs.L,
+                            "config_hash": report.config_hash}
     write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
     print(f"wrote {path} ({len(report.per_k)} entries, Gram rank {gs.rank}/{gs.L})")
     return 0
@@ -239,10 +187,10 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     from .experiments import run_fig1, write_fig1_csv, write_metadata
 
     cfg = _load_config(args)
-    result = run_fig1(cfg.array, cfg.support, cfg.B, cfg.quad, cfg.pinv)
+    result = run_fig1(cfg.array, cfg.support, cfg.B, cfg.pinv)
     path = _out_path(args, "fig1.csv")
     write_fig1_csv(path, result)
-    meta = cfg.metadata() | {
+    meta = cfg.to_dict() | {
         "gram_rank_no_si": result.report_no_si.rank,
         "gram_rank_si": result.report_si.rank,
     }
@@ -258,7 +206,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     result = run_fig2(cfg.array, cfg.support, cfg.aps, cfg.B, cfg.quad, cfg.pinv)
     path = _out_path(args, "fig2.csv")
     write_fig2_csv(path, result)
-    meta = cfg.metadata() | {
+    meta = cfg.to_dict() | {
         "max_err_no_si": float(result.errors_no_si.max()),
         "max_err_si": float(result.errors_si.max()),
         "leakage_norm": result.leakage_norm,
@@ -277,8 +225,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
                       cfg.quad, cfg.pinv)
     path = _out_path(args, "fig3.csv")
     write_fig3_csv(path, result)
-    meta = cfg.metadata() | {
-        "grid_points": cfg.grid_points,
+    meta = cfg.to_dict() | {
         "max_constraint_error_no_si": float(result.constraint_errors_no_si.max()),
         "max_constraint_error_si": float(result.constraint_errors_si.max()),
     }
@@ -294,7 +241,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     else:
         cfg = _load_config(args)
         fs = build_function_set(cfg.array, cfg.support)
-        gs = build_gram_system(fs, cfg.quad, cfg.pinv)
+        gs = build_gram_system(fs, cfg.pinv)
         op = build_conversion_operator(gs)
     out = convert(op, cov)
     path = _out_path(args, "converted.json")
@@ -306,7 +253,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_export_operator(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     fs = build_function_set(cfg.array, cfg.support)
-    gs = build_gram_system(fs, cfg.quad, cfg.pinv)
+    gs = build_gram_system(fs, cfg.pinv)
     op = build_conversion_operator(gs)
     path = _out_path(args, "operator.json")
     export_operator(path, op)

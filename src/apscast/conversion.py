@@ -17,7 +17,10 @@ so their working condition number is sqrt(cond(G)).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -33,7 +36,7 @@ from .hilbert_space import (
     sample,
     sampling_rule,
 )
-from .numerics import PinvSpec, QuadratureSpec
+from .numerics import PinvSpec
 from .numerics import pinv_psd  # noqa: F401  unused; bench/tracing.py wraps it here
 
 __all__ = [
@@ -49,6 +52,11 @@ __all__ = [
     "operator_from_dict",
     "export_operator",
     "load_operator",
+    "json_object",
+    "json_number",
+    "spec_from_dict",
+    "support_from_list",
+    "config_to_dict",
 ]
 
 
@@ -73,7 +81,6 @@ class GramSystem:
     downlink_coords: np.ndarray
     residuals_sq: np.ndarray
     downlink_norms_sq: np.ndarray
-    quad: QuadratureSpec
     pinv: PinvSpec
 
     @property
@@ -95,16 +102,11 @@ class GramSystem:
         return self.right_vectors @ (self._whiten(z) / self.singular_values[: self.rank])
 
 
-def build_gram_system(
-    fs: FunctionSet,
-    quad: QuadratureSpec = QuadratureSpec(),
-    pinv: PinvSpec = PinvSpec(),
-) -> GramSystem:
+def build_gram_system(fs: FunctionSet, pinv: PinvSpec = PinvSpec()) -> GramSystem:
     """Sample the basis and downlink kernels on one rule and factor the basis.
 
     Directions with ``s**2 > pinv.rel_cutoff * max(s)**2`` are kept, which is
-    the eigenvalue cutoff on G = X^T X.  ``quad`` is carried for the bound
-    report's configuration hash; the sampling rule does not depend on it.
+    the eigenvalue cutoff on G = X^T X.
     """
     basis = fs.basis
     nodes, weights = sampling_rule(basis + fs.downlink)
@@ -125,8 +127,7 @@ def build_gram_system(
         right_vectors=Vt[:rank].T,
         downlink_coords=coords,
         residuals_sq=np.einsum("ij,ij->j", resid, resid),
-        downlink_norms_sq=np.array([norm_sq(g, quad) for g in fs.downlink]),
-        quad=quad,
+        downlink_norms_sq=np.array([norm_sq(g) for g in fs.downlink]),
         pinv=pinv,
     )
 
@@ -279,30 +280,99 @@ def estimate_aps(
 
 
 # ---------------------------------------------------------------------------
+# Configuration documents
+# ---------------------------------------------------------------------------
+#
+# One format for every record of a configuration: config files, the config
+# part of ``_meta.json``, the operator file's ``config`` and ``support``, and
+# the bound report's hash payload.  A spec section holds exactly the fields
+# of its dataclass; a support set is a list of [a, b] pairs.
+
+
+def json_object(doc, keys, where: str) -> dict:
+    """``doc``, after checking that it is a JSON object with keys in ``keys``."""
+    if not isinstance(doc, dict):
+        raise ContractError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ContractError(f"unknown keys in {where}: {sorted(unknown)}")
+    return doc
+
+
+def json_number(value, kind: type, where: str) -> int | float:
+    """``value`` as ``kind`` (int or float).  Anything but a JSON number is
+    rejected; an int must be integral (30.0 reads as 30) and a float finite,
+    so literals that overflow, such as 1e400, are rejected too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContractError(f"{where} must be a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ContractError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ContractError(f"{where} must be finite, got {value!r}")
+    return value
+
+
+def spec_from_dict(cls, doc, where: str, base=None):
+    """Read the dataclass ``cls``, whose fields are all int or float, from
+    the JSON object ``doc``.  Keys are the field names and every value goes
+    through ``json_number``; absent fields come from ``base`` when given,
+    else from the class defaults, and a field with neither is an error."""
+    kinds = typing.get_type_hints(cls)
+    json_object(doc, kinds, where)
+    values = {k: json_number(v, kinds[k], f"{where}.{k}") for k, v in doc.items()}
+    if base is not None:
+        return dataclasses.replace(base, **values)
+    missing = [f.name for f in dataclasses.fields(cls)
+               if f.name not in values and f.default is dataclasses.MISSING]
+    if missing:
+        raise ContractError(f"{where} is missing {missing}")
+    return cls(**values)
+
+
+def support_from_list(ivs, where: str) -> SupportSet | None:
+    """A list of [a, b] pairs (radians) as a SupportSet; ``[]`` is None."""
+    if not (isinstance(ivs, list) and
+            all(isinstance(p, list) and len(p) == 2 for p in ivs)):
+        raise ContractError(f"{where} must be a list of [a, b] pairs")
+    if not ivs:
+        return None
+    return SupportSet([json_number(x, float, f"{where}[{i}]") for x in p]
+                      for i, p in enumerate(ivs))
+
+
+def config_to_dict(array: UlaConfig, support: SupportSet | None, **sections) -> dict:
+    """The document ``spec_from_dict`` and ``support_from_list`` read back:
+    ``array``, ``support`` and each keyword section, dataclass specs written
+    through ``dataclasses.asdict`` and other values as given."""
+    doc = {"array": array,
+           "support": [list(iv) for iv in support.intervals] if support else [],
+           **sections}
+    return {k: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v
+            for k, v in doc.items()}
+
+
+# ---------------------------------------------------------------------------
 # Operator (de)serialization
 # ---------------------------------------------------------------------------
-
-
-def _config_to_dict(cfg: UlaConfig) -> dict:
-    return {
-        "n_antennas": cfg.n_antennas,
-        "spacing": cfg.spacing,
-        "f_up": cfg.f_up,
-        "f_down": cfg.f_down,
-        "wave_speed": cfg.wave_speed,
-    }
 
 
 def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dict:
     """The operator as a JSON-ready document.  ``G`` is written only when
     given; no reader needs it."""
+    sections = config_to_dict(op.config, op.support)
     doc = {
         "n": op.n,
         "L": op.L,
         "A": op.A.tolist(),
         "rank": op.rank,
-        "config": _config_to_dict(op.config),
-        "support": [list(iv) for iv in op.support.intervals] if op.support else [],
+        "config": sections["array"],
+        "support": sections["support"],
         "downlink_norms_sq": op.downlink_norms_sq.tolist(),
     }
     if G is not None:
@@ -316,9 +386,8 @@ def operator_from_dict(doc: dict) -> ConversionOperator:
     those ``operator_to_dict`` writes (such as ``G`` and ``Q`` in older
     files) are ignored."""
     try:
-        cfg = UlaConfig(**doc["config"])
-        support_ivs = doc.get("support") or []
-        support = SupportSet(support_ivs) if support_ivs else None
+        cfg = spec_from_dict(UlaConfig, doc["config"], "config")
+        support = support_from_list(doc.get("support", []), "support")
         A = np.asarray(doc["A"], dtype=float)
         norms = np.asarray(doc["downlink_norms_sq"], dtype=float)
         n = int(doc["n"])

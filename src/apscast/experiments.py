@@ -26,7 +26,7 @@ from .conversion import (
     build_gram_system,
     estimate_aps,
 )
-from .errors import ContractError
+from .errors import ContractError, NumericalConsistencyError
 from .hilbert_space import HALF_PI, AngularFunction, GridFunction, SupportSet
 from .numerics import PinvSpec, QuadratureSpec, integrate
 
@@ -352,46 +352,28 @@ class Fig3Result:
     constraint_errors_si: np.ndarray
 
 
-@dataclass(frozen=True)
-class Pipelines:
-    """Shared Gram systems/operators for one configuration, built once."""
-
-    cfg: UlaConfig
-    support: SupportSet | None
-    gs_no_si: GramSystem
-    gs_si: GramSystem
-    quad: QuadratureSpec
-    pinv: PinvSpec
-
-    @classmethod
-    def build(
-        cls,
-        cfg: UlaConfig,
-        c_s: SupportSet | None,
-        quad: QuadratureSpec = QuadratureSpec(),
-        pinv: PinvSpec = PinvSpec(),
-    ) -> "Pipelines":
-        fs_no = build_function_set(cfg, None)
-        fs_si = build_function_set(cfg, c_s)
-        gs_no = build_gram_system(fs_no, quad, pinv)
-        gs_si = gs_no if (c_s is None or c_s.is_empty()) else \
-            build_gram_system(fs_si, quad, pinv)
-        return cls(cfg=cfg, support=c_s, gs_no_si=gs_no, gs_si=gs_si,
-                   quad=quad, pinv=pinv)
+def _gram_systems(
+    cfg: UlaConfig, c_s: SupportSet | None, pinv: PinvSpec
+) -> tuple[GramSystem, GramSystem]:
+    """The Gram systems without and with support information; the same
+    system twice when there is none."""
+    gs_no = build_gram_system(build_function_set(cfg, None), pinv)
+    if c_s is None or c_s.is_empty():
+        return gs_no, gs_no
+    return gs_no, build_gram_system(build_function_set(cfg, c_s), pinv)
 
 
 def run_fig1(
     cfg: UlaConfig,
     c_s: SupportSet | None,
     B: float = 1.0,
-    quad: QuadratureSpec = QuadratureSpec(),
     pinv: PinvSpec = PinvSpec(),
 ) -> Fig1Result:
     """Certified bounds with and without support information."""
-    pipes = Pipelines.build(cfg, c_s, quad, pinv)
+    gs_no, gs_si = _gram_systems(cfg, c_s, pinv)
     return Fig1Result(
-        report_no_si=compute_bounds(pipes.gs_no_si, B),
-        report_si=compute_bounds(pipes.gs_si, B),
+        report_no_si=compute_bounds(gs_no, B),
+        report_si=compute_bounds(gs_si, B),
     )
 
 
@@ -410,17 +392,17 @@ def run_fig2(
     then holds only up to the reported leakage term.
     """
     aps = aps or two_path_model()
-    pipes = Pipelines.build(cfg, c_s, quad, pinv)
-    fs = pipes.gs_si.function_set
+    gs_no, gs_si = _gram_systems(cfg, c_s, pinv)
+    fs = gs_si.function_set
 
     r_u = synthesize_r_vector(aps, fs.uplink, quad)
     r_d = synthesize_r_vector(aps, fs.downlink, quad)
-    op_no = build_conversion_operator(pipes.gs_no_si)
-    op_si = build_conversion_operator(pipes.gs_si)
+    op_no = build_conversion_operator(gs_no)
+    op_si = build_conversion_operator(gs_si)
     errors_no = np.abs(op_no.A @ r_u - r_d)
     errors_si = np.abs(op_si.A @ r_u - r_d)
 
-    bounds_si = compute_bounds(pipes.gs_si, B, op_si).bounds_pv0
+    bounds_si = compute_bounds(gs_si, B, op_si).bounds_pv0
     leak = aps.norm_outside(c_s) if (c_s is not None and not c_s.is_empty()) else 0.0
     return Fig2Result(
         errors_no_si=errors_no,
@@ -440,16 +422,16 @@ def run_fig3(
 ) -> Fig3Result:
     """Spectrum estimates on a uniform grid plus constraint-satisfaction data."""
     aps = aps or two_path_model()
-    pipes = Pipelines.build(cfg, c_s, quad, pinv)
-    fs = pipes.gs_si.function_set
+    gs_no, gs_si = _gram_systems(cfg, c_s, pinv)
+    fs = gs_si.function_set
 
     r_u = synthesize_r_vector(aps, fs.uplink, quad)
-    est_no = estimate_aps(pipes.gs_no_si, r_u)
-    est_si = estimate_aps(pipes.gs_si, r_u)
+    est_no = estimate_aps(gs_no, r_u)
+    est_si = estimate_aps(gs_si, r_u)
 
     theta = np.linspace(-HALF_PI, HALF_PI, grid_points)
-    resat_no = pipes.gs_no_si.G @ est_no.coefficients
-    resat_si = pipes.gs_si.G @ est_si.coefficients
+    resat_no = gs_no.G @ est_no.coefficients
+    resat_si = gs_si.G @ est_si.coefficients
     return Fig3Result(
         theta=theta,
         rho_true=GridFunction(theta, aps.evaluate(theta)),
@@ -503,7 +485,11 @@ def write_fig3_csv(path: str, result: Fig3Result) -> None:
 
 
 def write_metadata(path: str, payload: dict) -> None:
-    """Deterministic JSON sidecar (sorted keys, no timestamps)."""
+    """Deterministic JSON sidecar (sorted keys, no timestamps).  A
+    non-finite value raises NumericalConsistencyError and writes nothing."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalConsistencyError(f"metadata is not finite: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -193,13 +193,13 @@ def test_criterion_4_bound_validity_generic(
                 Trig.COSINE if rng.random() < 0.5 else Trig.SINE,
                 float(rng.uniform(0.0, 60.0)),
             )
-            zy = np.array([inner_product(x, y, gs.quad) for x in gs.basis])
+            zy = np.array([inner_product(x, y) for x in gs.basis])
             ay = gs.apply_pinv(zy)
-            w_norm_sq = norm_sq(y, gs.quad) - float(zy @ ay)
+            w_norm_sq = norm_sq(y) - float(zy @ ay)
             if w_norm_sq <= 1e-10:
                 continue
             Q = gs.Q
-            ydk = np.array([inner_product(y, g, gs.quad) for g in fs.downlink])
+            ydk = np.array([inner_product(y, g) for g in fs.downlink])
             w_dk = ydk - Q.T @ ay
 
             headroom = max(0.0, 1.0 - est_norm_sq)

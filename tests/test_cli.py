@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -39,6 +40,20 @@ def recip_config_file(tmp_path):
     return str(path)
 
 
+EVERY_KEY = {
+    "array": {"n_antennas": 6, "spacing": 0.09, "f_up": 1.8e9, "f_down": 1.95e9,
+              "wave_speed": 3.0e8},
+    "support": [[-0.5, 0.25], [0.5, HALF_PI]],
+    "B": 2.5,
+    "quad": {"panel_order": 16, "abs_tol": 1e-11, "rel_tol": 1e-10,
+             "max_subdivisions": 12},
+    "pinv": {"rel_cutoff": 1e-7},
+    "aps": {"peaks": [{"center": 0.3, "scale": 0.1, "weight": 2.0}],
+            "normalization": "raw"},
+    "grid_points": 65,
+}
+
+
 class TestRunConfig:
     def test_defaults_mirror_reference_array(self):
         cfg = RunConfig.from_dict({})
@@ -73,6 +88,22 @@ class TestRunConfig:
         assert cfg.pinv.rel_cutoff == 1e-7
         assert cfg.quad.panel_order == 16
         assert cfg.B == 2.5
+
+    def test_integral_float_reads_as_int(self):
+        cfg = RunConfig.from_dict({"array": {"n_antennas": 6.0}, "grid_points": 65.0})
+        assert type(cfg.array.n_antennas) is int and cfg.array.n_antennas == 6
+        assert type(cfg.grid_points) is int and cfg.grid_points == 65
+
+    @pytest.mark.parametrize("doc", [{}, EVERY_KEY], ids=["empty", "every-key"])
+    def test_round_trip(self, doc):
+        """The writer's document is strict JSON, names every key, and reads
+        back to the same config."""
+        cfg = RunConfig.from_dict(doc)
+        written = json.loads(json.dumps(cfg.to_dict(), allow_nan=False))
+        assert set(written) == {f.name for f in dataclasses.fields(RunConfig)}
+        assert RunConfig.from_dict(written) == cfg
+        if doc:
+            assert written == doc
 
 
 class TestCommands:
@@ -111,6 +142,20 @@ class TestCommands:
             assert (out / f"{name}.csv").exists()
             meta = json.loads((out / f"{name}_meta.json").read_text())
             assert meta["array"]["n_antennas"] == 4
+
+    def test_meta_reads_back_as_config(self, tmp_path, small_config_file):
+        """The config part of ``_meta.json`` passed back as ``--config``
+        reproduces the run byte for byte."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["fig1", "--config", small_config_file, "-o", str(first)]) == 0
+        meta = json.loads((first / "fig1_meta.json").read_text())
+        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        assert keys <= set(meta)
+        echoed = tmp_path / "echoed.json"
+        echoed.write_text(json.dumps({k: meta[k] for k in keys}))
+        assert main(["fig1", "--config", str(echoed), "-o", str(second)]) == 0
+        for name in ("fig1.csv", "fig1_meta.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_determinism_byte_identical(self, tmp_path, small_config_file):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -278,6 +323,34 @@ class TestErrorPaths:
         assert main(["bounds", "--config", str(bad), "-o", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and "NaN" in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"array": {"n_antennas": 4.9}}', "config.array.n_antennas"),
+        ('{"array": {"n_antennas": "x"}}', "config.array.n_antennas"),
+        ('{"B": "abc"}', "config.B"),
+        ('{"B": null}', "config.B"),
+        ('{"B": 1e400}', "config.B"),
+        ('{"quad": {"panel_order": "x"}}', "config.quad.panel_order"),
+        ('{"pinv": {"rel_cutoff": "1e-5"}}', "config.pinv.rel_cutoff"),
+        ('{"array": []}', "config.array"),
+        ('{"aps": {"peaks": [{"center": 0.5, "weight": 1.0}]}}', "scale"),
+        ('{"support": [[0.0, "a"]]}', "config.support"),
+        ("[]", "config"),
+        ('{"grid_points": 1e400}', "config.grid_points"),
+    ], ids=["fractional-int", "string-int", "string-float", "null-float",
+            "overflowing-float", "string-quad", "string-pinv", "array-not-object",
+            "peak-without-scale", "string-support", "list-config",
+            "overflowing-int"])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, text, key):
+        """Each bad value is rejected while reading the config, with an
+        ``error:`` line that names its key, and nothing is written."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert main(["fig3", "--config", str(bad), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
 
     def test_corrupt_operator_exits_1(self, tmp_path, small_config_file, capsys):
         """Infinity in A and an impossible rank: rejected before converting."""

@@ -8,7 +8,7 @@ import pytest
 from apscast.array_model import UlaConfig, build_function_set
 from apscast.bounds_analysis import compute_bounds
 from apscast.conversion import build_gram_system
-from apscast.errors import ContractError
+from apscast.errors import ContractError, NumericalConsistencyError
 from apscast.experiments import (
     ApsModel,
     ApsPeak,
@@ -24,6 +24,7 @@ from apscast.experiments import (
     write_fig1_csv,
     write_fig2_csv,
     write_fig3_csv,
+    write_metadata,
 )
 from apscast.hilbert_space import (
     AngularFunction,
@@ -277,3 +278,10 @@ class TestFig3:
         for i, row in enumerate(rows):
             assert float(row["theta"]) == result.theta[i]
             assert float(row["rho_est_si"]) == result.rho_est_si.values[i]
+
+
+def test_non_finite_metadata_writes_nothing(tmp_path):
+    path = tmp_path / "meta.json"
+    with pytest.raises(NumericalConsistencyError):
+        write_metadata(str(path), {"B": math.inf})
+    assert not path.exists()
