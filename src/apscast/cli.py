@@ -134,7 +134,7 @@ def _read_covariance(path: str) -> HermitianToeplitzCov:
     doc = json_object(load_strict_json(path, "covariance file"),
                       {"n", "first_col_re", "first_col_im"}, f"covariance file {path}")
     try:
-        n = int(doc["n"])
+        n = json_number(doc["n"], int, f"covariance file {path}: n")
         re = np.asarray(doc["first_col_re"], dtype=float)
         im = np.asarray(doc["first_col_im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -142,6 +142,16 @@ class ConversionOperator:
     and reused for every covariance.  ``downlink_norms_sq``, ``rank`` and
     ``L`` (the basis size) describe the build; G and Q stay on the
     ``GramSystem``.
+
+    ``A`` is in slot order (rows and columns 0..N-1 real parts, N..2N-1
+    imaginary parts); it is what operator files hold and what callers read.
+    It is read-only, so writing into ``op.A`` raises ``ValueError``; a new
+    ``A`` takes ``dataclasses.replace``.  A writable array given to the
+    constructor is copied, a read-only one is kept.  Beside it the operator
+    keeps a copy with the rows interleaved (row 2i is slot i, row 2i+1 slot
+    N+i; columns in slot order), so the product in ``convert`` is the
+    storage of the complex first column.  That copy costs one more 2N x 2N
+    float64 per operator.
     """
 
     config: UlaConfig
@@ -150,6 +160,21 @@ class ConversionOperator:
     downlink_norms_sq: np.ndarray
     rank: int
     L: int
+    _A_interleaved: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.n
+        A = np.asarray(self.A, dtype=float, order="C")
+        if A.shape != (2 * n, 2 * n):
+            raise ContractError(f"A must have shape ({2*n}, {2*n}), got {A.shape}")
+        if A.flags.writeable:
+            A = A.copy()  # the caller may still write into its own array
+            A.setflags(write=False)
+        rows = np.empty_like(A)
+        rows[0::2], rows[1::2] = A[:n], A[n:]
+        rows.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "_A_interleaved", rows)
 
     @property
     def n(self) -> int:
@@ -161,6 +186,7 @@ def build_conversion_operator(gs: GramSystem) -> ConversionOperator:
     fs = gs.function_set
     s_k = gs.singular_values[: gs.rank]
     A = (gs.downlink_coords.T / s_k) @ gs.right_vectors[: 2 * fs.n].T
+    A.setflags(write=False)  # no other reference: the operator keeps it uncopied
     return ConversionOperator(
         config=fs.config,
         support=fs.support,
@@ -219,14 +245,29 @@ class HermitianToeplitzCov:
 
 
 def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToeplitzCov:
-    """Uplink-to-downlink covariance conversion: one matrix-vector product."""
+    """Uplink-to-downlink covariance conversion: one matrix-vector product.
+
+    The product runs over the operator's row-interleaved copy of ``A`` and
+    writes its float64 output straight into the storage of the converted
+    complex first column.  Each entry is the same dot product as in
+    ``op.A @ r_u.to_r_vector()``, summed in the same order, so the two agree
+    bit for bit.
+    """
     if r_u.n != op.n:
         raise ContractError(
             f"covariance dimension {r_u.n} does not match operator dimension {op.n}"
         )
-    r = r_u.to_r_vector()
-    rd = op.A @ r
-    return HermitianToeplitzCov.from_r_vector(rd)
+    c = r_u.first_col
+    col = np.empty(op.n, dtype=complex)
+    np.dot(op._A_interleaved, np.concatenate((c.real, c.imag)), out=col.view(float))
+    try:
+        return HermitianToeplitzCov(col)
+    except ContractError as exc:
+        # Row N of a built A is zero, so a NaN or inf input surfaces here
+        # as a non-real diagonal; name the cause instead.
+        if not np.all(np.isfinite(c)):
+            raise ContractError("covariance entries must be finite") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +430,7 @@ def operator_from_dict(doc: dict) -> ConversionOperator:
         cfg = spec_from_dict(UlaConfig, doc["config"], "config")
         support = support_from_list(doc.get("support", []), "support")
         A = np.asarray(doc["A"], dtype=float)
+        A.setflags(write=False)  # no other reference: the operator keeps it uncopied
         norms = np.asarray(doc["downlink_norms_sq"], dtype=float)
         n = int(doc["n"])
         L = int(doc["L"])
@@ -397,8 +439,6 @@ def operator_from_dict(doc: dict) -> ConversionOperator:
         raise ContractError(f"malformed operator document: {exc}") from exc
     if n != cfg.n_antennas:
         raise ContractError(f"n = {n} does not match config.n_antennas = {cfg.n_antennas}")
-    if A.shape != (2 * n, 2 * n):
-        raise ContractError(f"A must have shape ({2*n}, {2*n}), got {A.shape}")
     if norms.shape != (2 * n,):
         raise ContractError(f"downlink_norms_sq must have shape ({2*n},), got {norms.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(norms))):

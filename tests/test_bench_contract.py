@@ -28,12 +28,16 @@ def test_wrapped_attribute_resolves(module, attr, span):
 
 
 def test_workload_call_shapes(tmp_path):
-    """``build_operator`` and ``cli_probes`` in ``bench/workloads.py``."""
+    """``build_operator``, ``convert_stream``, ``cli_convert`` and
+    ``cli_probes`` in ``bench/workloads.py``."""
     fs = ap.build_function_set(ap.UlaConfig.reference(4), ap.SupportSet([[0.0, 1.0]]))
     gs = ap.build_gram_system(fs)
     op = ap.build_conversion_operator(gs)
     rep = ap.compute_bounds(gs, 1.0, op=op)
     assert rep.bounds_pv0.shape == (8,)
+    assert np.all(np.isfinite(op.A))
     probe = str(tmp_path / "probe.json")
     ap.export_operator(probe, op, G=gs.G)
-    np.testing.assert_array_equal(ap.load_operator(probe).A, op.A)
+    assert np.array_equal(ap.load_operator(probe).A, op.A)
+    cov = ap.HermitianToeplitzCov.from_r_vector(np.r_[1.0, np.zeros(7)])
+    assert isinstance(ap.convert(op, cov), ap.HermitianToeplitzCov)

@@ -317,6 +317,33 @@ class TestErrorPaths:
         assert str(inp) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_value, n", [(2.9, 2), (True, 1)], ids=["fractional", "boolean"])
+    def test_non_integer_covariance_n_exits_1(self, tmp_path, capsys, n_value, n):
+        """``n`` is read as a JSON integer; with a config of the dimension
+        ``int(n)`` gives, these files used to convert."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"array": {"n_antennas": n}}))
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": n_value, "first_col_re": [1.0] + [0.0] * (n - 1),
+                                   "first_col_im": [0.0] * n}))
+        out = tmp_path / "out.json"
+        assert main(["convert", "--config", str(config),
+                     "--input", str(inp), "-o", str(out)]) == 1
+        assert f"{inp}: n must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_covariance_n_converts(self, tmp_path, recip_config_file):
+        outputs = []
+        for n_value in (4, 4.0):
+            inp = tmp_path / "cov.json"
+            inp.write_text(json.dumps({"n": n_value, "first_col_re": [1.0, 0.5, 0.0, 0.0],
+                                       "first_col_im": [0.0, 0.25, 0.0, 0.0]}))
+            out = tmp_path / f"out_{n_value}.json"
+            assert main(["convert", "--config", recip_config_file,
+                         "--input", str(inp), "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_non_finite_config_token_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"pinv": {"rel_cutoff": NaN}}')

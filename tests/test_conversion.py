@@ -38,6 +38,19 @@ def recip_cfg():
                      wave_speed=c)
 
 
+_SUPPORTS = {
+    "none": None,
+    "right-half": [[0.0, HALF_PI]],
+    "two-intervals": [[-1.2, -0.6], [0.1, 0.9]],
+}
+
+
+def _random_cov(rng, n):
+    col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    col[0] = abs(col[0].real)
+    return HermitianToeplitzCov(col)
+
+
 class TestGramSystem:
     def test_two_antenna_entries(self):
         cfg = UlaConfig.reference(n_antennas=2)
@@ -110,6 +123,28 @@ class TestConversionOperator:
         once = op.A @ r
         np.testing.assert_allclose(op.A @ once, once, atol=1e-8)
 
+    def test_A_read_only(self, tmp_path, gs_ref_si):
+        """Built, loaded and replaced operators all refuse writes into A."""
+        op = build_conversion_operator(gs_ref_si)
+        path = tmp_path / "op.json"
+        export_operator(str(path), op)
+        for each in (op, load_operator(str(path)),
+                     dataclasses.replace(op, A=np.array(op.A))):
+            with pytest.raises(ValueError):
+                each.A[0, 0] = 1.0
+        assert dataclasses.replace(op, rank=op.rank).A is op.A  # read-only: not copied
+
+    def test_replace_converts_with_new_A(self, gs_ref_si, rng):
+        """A replaced A is copied: it converts with the new values, and later
+        writes into the caller's array do not reach the operator."""
+        op = build_conversion_operator(gs_ref_si)
+        new_A = np.asfortranarray(2.0 * op.A)
+        twice = dataclasses.replace(op, A=new_A)
+        new_A[:] = 0.0
+        cov = _random_cov(rng, op.n)
+        want = HermitianToeplitzCov.from_r_vector(2.0 * op.A @ cov.to_r_vector())
+        assert convert(twice, cov).first_col.tobytes() == want.first_col.tobytes()
+
 
 class TestHermitianToeplitzCov:
     def test_rejects_complex_diagonal(self):
@@ -140,6 +175,32 @@ class TestConvert:
         op = build_conversion_operator(gs_ref_si)
         with pytest.raises(ContractError):
             convert(op, HermitianToeplitzCov(np.zeros(5, dtype=complex)))
+
+    @pytest.mark.parametrize("support", _SUPPORTS.values(), ids=_SUPPORTS.keys())
+    @pytest.mark.parametrize("n", [1, 2, 30, 64])
+    def test_bytes_match_slot_order_product(self, n, support, rng):
+        """The interleaved product is the slot-order A @ r, bit for bit, also
+        for a strided first column."""
+        fs = build_function_set(UlaConfig.reference(n), support and SupportSet(support))
+        op = build_conversion_operator(build_gram_system(fs))
+        big = np.zeros(2 * n, dtype=complex)
+        big[::2] = _random_cov(rng, n).first_col
+        covs = [_random_cov(rng, n) for _ in range(4)]
+        covs += [HermitianToeplitzCov(np.zeros(n, dtype=complex)),
+                 HermitianToeplitzCov(big[::2])]
+        for cov in covs:
+            want = HermitianToeplitzCov.from_r_vector(op.A @ cov.to_r_vector())
+            assert convert(op, cov).first_col.tobytes() == want.first_col.tobytes()
+
+    @pytest.mark.parametrize("slot, value", [(0, np.nan), (1, np.inf), (2, complex(0, -np.inf))],
+                             ids=["nan-diagonal", "inf-real", "inf-imag"])
+    def test_non_finite_covariance_rejected(self, gs_ref_si, slot, value):
+        op = build_conversion_operator(gs_ref_si)
+        col = np.ones(op.n, dtype=complex)
+        col[slot] = value
+        with pytest.raises(ContractError, match="covariance entries must be finite"), \
+                np.errstate(invalid="ignore"):
+            convert(op, HermitianToeplitzCov(col))
 
     def test_reciprocity_identity(self, recip_cfg, rng):
         fs = build_function_set(recip_cfg)
@@ -222,6 +283,7 @@ def small_operator_doc():
 _BREAKS = {
     "A-inf": lambda d: {"A": [[math.inf] + d["A"][0][1:]] + d["A"][1:]},
     "A-nan": lambda d: {"A": [[math.nan] + d["A"][0][1:]] + d["A"][1:]},
+    "A-shape": lambda d: {"A": d["A"][:-1]},
     "norms-nan": lambda d: {"downlink_norms_sq": [math.nan] + d["downlink_norms_sq"][1:]},
     "norms-shape": lambda d: {"downlink_norms_sq": d["downlink_norms_sq"][:-1]},
     "L-below-2n": lambda d: {"L": 3},
