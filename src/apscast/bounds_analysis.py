@@ -12,8 +12,6 @@ symmetry.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -74,6 +72,8 @@ class BoundReport:
 
 
 def _config_hash(gs: GramSystem, B: float) -> str:
+    import hashlib  # imported on use: ``convert`` needs neither it nor csv
+
     fs = gs.function_set
     payload = config_to_dict(fs.config, fs.support, B=B, pinv=gs.pinv)
     return hashlib.md5(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -174,6 +174,8 @@ def bound_tightened_by_support(
 def write_bounds_csv(path: str, report: BoundReport) -> None:
     """CSV schema: k, entry_kind, lag, residual, bound_generic, bound_pv0,
     norm_gdk_sq.  Floats use repr so files round-trip bit-exactly."""
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "entry_kind", "lag", "residual", "bound_generic",

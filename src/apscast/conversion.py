@@ -32,7 +32,8 @@ from .hilbert_space import (
     AngularFunction,
     SupportSet,
     inner_product_with_status,  # noqa: F401  unused; bench/tracing.py wraps it here
-    norm_sq,
+    kernel_norms_sq,
+    norm_sq,  # noqa: F401  unused; bench/tracing.py wraps it here
     sample,
     sampling_rule,
 )
@@ -127,7 +128,7 @@ def build_gram_system(fs: FunctionSet, pinv: PinvSpec = PinvSpec()) -> GramSyste
         right_vectors=Vt[:rank].T,
         downlink_coords=coords,
         residuals_sq=np.einsum("ij,ij->j", resid, resid),
-        downlink_norms_sq=np.array([norm_sq(g) for g in fs.downlink]),
+        downlink_norms_sq=kernel_norms_sq(fs.downlink),
         pinv=pinv,
     )
 
@@ -204,7 +205,11 @@ def build_conversion_operator(gs: GramSystem) -> ConversionOperator:
 
 @dataclass(frozen=True)
 class HermitianToeplitzCov:
-    """N x N Hermitian Toeplitz covariance stored as its first column."""
+    """N x N Hermitian Toeplitz covariance stored as its first column.
+
+    ``first_col`` is read-only.  A writable array given to the constructor
+    is copied, a read-only one is kept, as for ``ConversionOperator.A``.
+    """
 
     first_col: np.ndarray
 
@@ -217,7 +222,9 @@ class HermitianToeplitzCov:
                 "diagonal entry must be real: imag(first_col[0]) = "
                 f"{col[0].imag!r}"
             )
-        col.setflags(write=False)
+        if col.flags.writeable:
+            col = col.copy()  # the caller may still write into its own array
+            col.setflags(write=False)
         object.__setattr__(self, "first_col", col)
 
     @property
@@ -234,7 +241,9 @@ class HermitianToeplitzCov:
         if r.ndim != 1 or r.size % 2 != 0:
             raise ContractError("r vector must have even length 2N")
         n = r.size // 2
-        return cls(r[:n] + 1j * r[n:])
+        col = r[:n] + 1j * r[n:]
+        col.setflags(write=False)  # no other reference: kept uncopied
+        return cls(col)
 
     def expand(self) -> np.ndarray:
         """Full Hermitian Toeplitz matrix R[n, m] = c_{n-m}."""
@@ -260,6 +269,7 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
     c = r_u.first_col
     col = np.empty(op.n, dtype=complex)
     np.dot(op._A_interleaved, np.concatenate((c.real, c.imag)), out=col.view(float))
+    col.setflags(write=False)  # no other reference: kept uncopied
     try:
         return HermitianToeplitzCov(col)
     except ContractError as exc:

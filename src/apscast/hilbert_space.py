@@ -30,6 +30,7 @@ __all__ = [
     "inner_product_with_status",
     "inner_product_quadrature",
     "norm_sq",
+    "kernel_norms_sq",
     "mask",
     "sampling_rule",
     "sample",
@@ -278,6 +279,25 @@ def norm_sq(f: AngularFunction, quad: QuadratureSpec = QuadratureSpec()) -> floa
     return inner_product(f, f, quad)
 
 
+def kernel_norms_sq(funcs: Sequence[AngularFunction]) -> np.ndarray:
+    """``[norm_sq(f) for f in funcs]``, bit for bit, with one J0 per distinct
+    frequency: an unmasked kernel has squared norm
+    ``scale * scale * ((pi/2) * (J0(0) +- J0(2 omega)))`` (+ for a cosine,
+    - for a sine), the expression ``norm_sq`` evaluates.  Zero and masked
+    functions go through ``norm_sq``.
+    """
+    omega = np.array([f.omega for f in funcs])
+    scale = np.array([f.scale for f in funcs])
+    sign = np.array([1.0 if f.trig is Trig.COSINE else -1.0 for f in funcs])
+    distinct, index = np.unique(omega, return_inverse=True)
+    j0_2w = np.array([bessel_j0(w + w) for w in distinct])[index]
+    out = scale * scale * ((math.pi / 2.0) * (bessel_j0(0.0) + sign * j0_2w))
+    for k, f in enumerate(funcs):
+        if f.is_zero() or f.mask is not None:
+            out[k] = norm_sq(f)
+    return out
+
+
 def mask(f: AngularFunction, c_s: SupportSet) -> AngularFunction:
     """Support-information projection: zero on ``c_s``, unchanged outside.
 
@@ -330,7 +350,8 @@ def sample(funcs: Sequence[AngularFunction], nodes: np.ndarray,
     """Weighted even/odd samples, shape (2 * nodes, len(funcs)).
 
     For columns x, y of the result, x @ y is the ``sampling_rule`` estimate
-    of the inner product of the two functions.
+    of the inner product of the two functions.  Masks are applied once per
+    distinct mask, to all the columns that carry it.
     """
     cosine = np.array([f.trig is Trig.COSINE for f in funcs])
     plus = np.outer(np.sin(nodes), [f.omega for f in funcs])
@@ -338,10 +359,13 @@ def sample(funcs: Sequence[AngularFunction], nodes: np.ndarray,
     np.sin(plus, out=plus, where=~cosine)
     plus *= [f.scale for f in funcs]
     minus = plus * np.where(cosine, 1.0, -1.0)
+    columns: dict[SupportSet, list[int]] = {}
     for j, f in enumerate(funcs):
         if f.mask is not None:
-            plus[f.mask.contains(nodes), j] = 0.0
-            minus[f.mask.contains(-nodes), j] = 0.0
+            columns.setdefault(f.mask, []).append(j)
+    for zero_set, cols in columns.items():
+        plus[np.ix_(zero_set.contains(nodes), cols)] = 0.0
+        minus[np.ix_(zero_set.contains(-nodes), cols)] = 0.0
     m = nodes.size
     out = np.empty((2 * m, len(funcs)))
     np.add(plus, minus, out=out[:m])

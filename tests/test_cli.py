@@ -250,14 +250,16 @@ class TestCommands:
 
 class TestColdImport:
     def test_cli_import_leaves_experiments_unloaded(self):
-        """``convert --operator`` needs no figure driver or synthesis code."""
+        """``convert --operator`` needs neither the figure experiments nor
+        spectrum synthesis, and no config hash or CSV writer."""
         src = os.path.dirname(os.path.dirname(apscast.__file__))
         code = ("import sys, apscast.cli; "
-                "print('apscast.experiments' in sys.modules)")
+                "print([m for m in ('apscast.experiments', 'hashlib', 'csv') "
+                "if m in sys.modules])")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_every_public_name_resolves(self):
         for name in apscast.__all__:

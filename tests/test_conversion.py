@@ -151,6 +151,18 @@ class TestHermitianToeplitzCov:
         with pytest.raises(ContractError):
             HermitianToeplitzCov(np.array([1.0 + 0.5j, 0.2]))
 
+    def test_writable_input_is_copied(self):
+        """The caller's array stays writable and its later writes do not
+        reach the covariance; a read-only array is kept as it is."""
+        c = np.array([1.0, 0.5 + 0.1j, 0.2])
+        cov = HermitianToeplitzCov(c)
+        c[1] = 0
+        np.testing.assert_array_equal(cov.first_col, [1.0, 0.5 + 0.1j, 0.2])
+        with pytest.raises(ValueError):
+            cov.first_col[1] = 0
+        c.setflags(write=False)
+        assert HermitianToeplitzCov(c).first_col is c
+
     def test_r_vector_round_trip(self):
         col = np.array([2.0, 0.3 - 0.4j, -0.1 + 0.2j])
         cov = HermitianToeplitzCov(col)

@@ -4,7 +4,10 @@ Part one checks the sampling rule itself: the sampled Gram matrix over
 uplink plus downlink kernels against closed-form ``inner_product`` (unmasked)
 and ``inner_product_quadrature`` (masked).  Part two checks what the engine
 derives from its SVD (``A``, residuals, rank) against ``pinv_psd`` applied to
-the closed-form Gram matrix.
+the closed-form Gram matrix.  Part three checks the build's grouped forms,
+one mask pass per distinct mask in ``sample`` and one J0 per distinct
+frequency in ``kernel_norms_sq``, against per-function references, byte for
+byte.
 """
 
 import functools
@@ -18,10 +21,14 @@ from apscast.array_model import UlaConfig, build_function_set
 from apscast.bounds_analysis import compute_bounds
 from apscast.conversion import build_conversion_operator, build_gram_system
 from apscast.hilbert_space import (
+    AngularFunction,
     SupportSet,
+    Trig,
     clamp_residual_sq,
     inner_product,
     inner_product_quadrature,
+    kernel_norms_sq,
+    mask,
     norm_sq,
     sample,
     sampling_rule,
@@ -109,3 +116,62 @@ def test_engine_matches_pinv_of_closed_form_gram(n, c_s):
     assert np.max(np.abs(report.residuals - residuals)) <= 1e-10
     np.testing.assert_allclose(gs.singular_values ** 2,
                                np.sort(ref.eigenvalues)[::-1], atol=1e-12)
+
+
+def _sample_per_column(funcs, nodes, weights):
+    """``sample`` with one mask pass per column: the reference for the
+    grouped passes."""
+    cosine = np.array([f.trig is Trig.COSINE for f in funcs])
+    plus = np.outer(np.sin(nodes), [f.omega for f in funcs])
+    np.cos(plus, out=plus, where=cosine)
+    np.sin(plus, out=plus, where=~cosine)
+    plus *= [f.scale for f in funcs]
+    minus = plus * np.where(cosine, 1.0, -1.0)
+    for j, f in enumerate(funcs):
+        if f.mask is not None:
+            plus[f.mask.contains(nodes), j] = 0.0
+            minus[f.mask.contains(-nodes), j] = 0.0
+    m = nodes.size
+    out = np.empty((2 * m, len(funcs)))
+    np.add(plus, minus, out=out[:m])
+    np.subtract(plus, minus, out=out[m:])
+    out *= np.sqrt(0.5 * np.tile(weights, 2))[:, None]
+    return out
+
+
+def _mixed_masks():
+    """Kernels under two different masks, interleaved with unmasked ones
+    and with a fully masked one."""
+    right = SupportSet([[0.0, HALF_PI]])
+    kernels = [AngularFunction(trig, w, scale=s)
+               for trig in Trig for w, s in ((0.0, 1.0), (3.3, 0.3), (11.7, -1.7))]
+    funcs = []
+    for k, g in enumerate(kernels):
+        funcs += [g, mask(g, right), mask(g, TWO_INTERVALS)]
+        if k % 2:
+            funcs.append(mask(g, SupportSet.full()))
+    return funcs
+
+
+def test_sample_masks_match_per_column_loop():
+    funcs = _mixed_masks()
+    assert len({f.mask for f in funcs}) == 4   # None, two masks, full
+    nodes, weights = sampling_rule(funcs)
+    got = sample(funcs, nodes, weights)
+    assert got.tobytes() == _sample_per_column(funcs, nodes, weights).tobytes()
+
+
+@pytest.mark.parametrize("f_up, f_down", [(1.8e9, 1.9e9), (1.9e9, 1.8e9), (1.8e9, 2.7e9)],
+                         ids=["reference", "fd<fu", "fd=1.5fu"])
+@pytest.mark.parametrize("n", [1, 2, 30, 64])
+def test_downlink_norms_match_norm_sq(n, f_up, f_down):
+    fs = build_function_set(_geometry(n, f_up, f_down))
+    gs = build_gram_system(fs)
+    want = np.array([norm_sq(g) for g in fs.downlink])
+    assert gs.downlink_norms_sq.tobytes() == want.tobytes()
+
+
+def test_kernel_norms_of_masked_and_zero_functions():
+    funcs = _mixed_masks()
+    want = np.array([norm_sq(f) for f in funcs])
+    assert kernel_norms_sq(funcs).tobytes() == want.tobytes()
