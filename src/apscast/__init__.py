@@ -9,7 +9,6 @@ functions and shrinks the bounds."""
 from .array_model import FunctionSet, UlaConfig, build_function_set, steering_vector
 from .bounds_analysis import (
     BoundReport,
-    PerEntryBound,
     bound_tightened_by_support,
     compute_bounds,
     write_bounds_csv,
@@ -79,7 +78,6 @@ __all__ = [
     "HermitianToeplitzCov",
     "NumericalConsistencyError",
     "OracleSpec",
-    "PerEntryBound",
     "PinvSpec",
     "QuadratureSpec",
     "SupportSet",

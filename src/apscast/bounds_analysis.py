@@ -23,7 +23,6 @@ from .errors import ContractError, NumericalConsistencyError
 from .hilbert_space import norm_sq  # noqa: F401  unused; bench/tracing.py wraps it here
 
 __all__ = [
-    "PerEntryBound",
     "BoundReport",
     "compute_bounds",
     "bound_tightened_by_support",
@@ -37,38 +36,25 @@ RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class PerEntryBound:
-    k: int                      # 1-based slot index
-    entry_kind: str             # "real" | "imag"
-    lag: int                    # k-1 for real slots, k-N-1 for imag slots
-    residual: float
-    bound_generic: float        # 2 B residual (any norm-bounded estimate)
-    bound_pv0: float            # B residual (minimum-norm estimate)
-    norm_gdk_sq: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    per_k: tuple[PerEntryBound, ...]
+    """Residuals and squared downlink norms of the 2N first-column slots, in
+    slot order (0..N-1 real parts, N..2N-1 imaginary parts)."""
+
+    residuals: np.ndarray
+    norms_sq: np.ndarray
     B: float
     config_hash: str
     rank: int
 
     @property
-    def residuals(self) -> np.ndarray:
-        return np.array([e.residual for e in self.per_k])
-
-    @property
     def bounds_pv0(self) -> np.ndarray:
-        return np.array([e.bound_pv0 for e in self.per_k])
+        """B res_k: the minimum-norm estimate's bound."""
+        return self.B * self.residuals
 
     @property
     def bounds_generic(self) -> np.ndarray:
-        return np.array([e.bound_generic for e in self.per_k])
-
-    @property
-    def norms_sq(self) -> np.ndarray:
-        return np.array([e.norm_gdk_sq for e in self.per_k])
+        """2 B res_k: the bound of any norm-bounded consistent estimate."""
+        return 2.0 * self.B * self.residuals
 
 
 def _config_hash(gs: GramSystem, B: float) -> str:
@@ -95,92 +81,71 @@ def compute_bounds(
     """
     if not (math.isfinite(B) and B > 0.0):
         raise ContractError(f"B must be positive and finite, got {B}")
-    n = gs.function_set.n
-
-    entries = []
-    for idx in range(2 * n):
-        norm_sq_k = float(gs.downlink_norms_sq[idx])
-        norm_k = math.sqrt(norm_sq_k)
-        residual = math.sqrt(float(gs.residuals_sq[idx]))
-        if residual <= RESIDUAL_FLOOR * norm_k:
-            residual = 0.0
-        if residual > norm_k + 1e-9:
-            raise NumericalConsistencyError(
-                f"residual {residual:.3e} exceeds ||g_d|| for slot {idx + 1}"
-            )
-        k = idx + 1
-        entries.append(PerEntryBound(
-            k=k,
-            entry_kind="real" if k <= n else "imag",
-            lag=(k - 1) if k <= n else (k - n - 1),
-            residual=residual,
-            bound_generic=2.0 * B * residual,
-            bound_pv0=B * residual,
-            norm_gdk_sq=norm_sq_k,
-        ))
+    norms = np.sqrt(gs.downlink_norms_sq)
+    residuals = np.sqrt(gs.residuals_sq)
+    residuals[residuals <= RESIDUAL_FLOOR * norms] = 0.0
+    bad = np.flatnonzero(residuals > norms + 1e-9)
+    if bad.size:
+        idx = bad[0]
+        raise NumericalConsistencyError(
+            f"residual {residuals[idx]:.3e} exceeds ||g_d|| for slot {idx + 1}"
+        )
     return BoundReport(
-        per_k=tuple(entries),
+        residuals=residuals,
+        norms_sq=gs.downlink_norms_sq,
         B=B,
         config_hash=_config_hash(gs, B),
         rank=gs.rank,
     )
 
 
-@dataclass(frozen=True)
-class BoundComparison:
-    k: int
-    residual_without: float
-    residual_with: float
-    delta: float                # residual_with - residual_without
-
-
 def bound_tightened_by_support(
     report_no_si: BoundReport,
     report_si: BoundReport,
     tol: float = 1e-9,
-) -> tuple[BoundComparison, ...]:
-    """Per-entry effect of adding support information.
+) -> np.ndarray:
+    """Per-slot change of the residual when support information is added,
+    ``residual_with - residual_without``.
 
     Both reports must come from the same array configuration and B; support
     information enlarges the projection subspace, so each residual may only
     shrink.  A violation beyond ``tol`` raises NumericalConsistencyError
     (it indicates a pseudo-inverse cutoff discarding genuine directions).
     """
-    if len(report_no_si.per_k) != len(report_si.per_k):
+    r0, r1 = report_no_si.residuals, report_si.residuals
+    if r0.size != r1.size:
         raise ContractError("reports cover different numbers of entries")
     if report_no_si.B != report_si.B:
         raise ContractError("reports use different norm bounds B")
     if not np.allclose(report_no_si.norms_sq, report_si.norms_sq, atol=1e-12):
         raise ContractError("reports come from different downlink configurations")
 
-    rows = []
-    for e0, e1 in zip(report_no_si.per_k, report_si.per_k):
-        delta = e1.residual - e0.residual
-        if delta > tol:
-            raise NumericalConsistencyError(
-                f"support information increased the residual at k={e0.k}: "
-                f"{e0.residual:.6e} -> {e1.residual:.6e}; the pseudo-inverse "
-                "cutoff is discarding directions this comparison needs"
-            )
-        rows.append(BoundComparison(
-            k=e0.k,
-            residual_without=e0.residual,
-            residual_with=e1.residual,
-            delta=delta,
-        ))
-    return tuple(rows)
+    delta = r1 - r0
+    bad = np.flatnonzero(delta > tol)
+    if bad.size:
+        idx = bad[0]
+        raise NumericalConsistencyError(
+            f"support information increased the residual at k={idx + 1}: "
+            f"{r0[idx]:.6e} -> {r1[idx]:.6e}; the pseudo-inverse "
+            "cutoff is discarding directions this comparison needs"
+        )
+    return delta
 
 
 def write_bounds_csv(path: str, report: BoundReport) -> None:
     """CSV schema: k, entry_kind, lag, residual, bound_generic, bound_pv0,
-    norm_gdk_sq.  Floats use repr so files round-trip bit-exactly."""
+    norm_gdk_sq.  Row i is slot k = i + 1: the real part of lag k - 1 for
+    k <= N, else the imaginary part of lag k - N - 1.  Floats use repr so
+    files round-trip bit-exactly."""
     import csv
 
+    n = report.residuals.size // 2
+    columns = (report.residuals, report.bounds_generic, report.bounds_pv0,
+               report.norms_sq)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "entry_kind", "lag", "residual", "bound_generic",
                          "bound_pv0", "norm_gdk_sq"])
-        for e in report.per_k:
-            writer.writerow([e.k, e.entry_kind, e.lag, repr(e.residual),
-                             repr(e.bound_generic), repr(e.bound_pv0),
-                             repr(e.norm_gdk_sq)])
+        for i, values in enumerate(zip(*(c.tolist() for c in columns))):
+            writer.writerow([i + 1, "real" if i < n else "imag", i % n,
+                             *map(repr, values)])

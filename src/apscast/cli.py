@@ -24,8 +24,6 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .array_model import UlaConfig, build_function_set
 from .bounds_analysis import compute_bounds, write_bounds_csv
 from .conversion import (
@@ -35,6 +33,7 @@ from .conversion import (
     config_to_dict,
     convert,
     export_operator,
+    json_array,
     json_number,
     json_object,
     load_operator,
@@ -135,16 +134,10 @@ def _read_covariance(path: str) -> HermitianToeplitzCov:
                       {"n", "first_col_re", "first_col_im"}, f"covariance file {path}")
     try:
         n = json_number(doc["n"], int, f"covariance file {path}: n")
-        re = np.asarray(doc["first_col_re"], dtype=float)
-        im = np.asarray(doc["first_col_im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re, im = (json_array(doc[key], (n,), f"covariance file {path}: {key}")
+                  for key in ("first_col_re", "first_col_im"))
+    except KeyError as exc:
         raise ContractError(f"malformed covariance file {path}: {exc}") from exc
-    if re.shape != (n,) or im.shape != (n,):
-        raise ContractError(
-            f"covariance file {path}: first_col_re/first_col_im must have length n={n}"
-        )
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise ContractError(f"covariance file {path}: entries must be finite")
     return HermitianToeplitzCov(re + 1j * im)
 
 
@@ -179,7 +172,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     meta = cfg.to_dict() | {"gram_rank": gs.rank, "L": gs.L,
                             "config_hash": report.config_hash}
     write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
-    print(f"wrote {path} ({len(report.per_k)} entries, Gram rank {gs.rank}/{gs.L})")
+    print(f"wrote {path} ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
     return 0
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "load_operator",
     "json_object",
     "json_number",
+    "json_array",
     "spec_from_dict",
     "support_from_list",
     "config_to_dict",
@@ -301,32 +302,14 @@ class ApsEstimate:
         return out
 
 
-def estimate_aps(
-    gs: GramSystem,
-    r_u: np.ndarray,
-    constraint_values: np.ndarray | None = None,
-) -> ApsEstimate:
-    """Minimum-norm spectrum consistent with r_u (and the constraint values).
-
-    ``constraint_values`` defaults to zeros (support constraints); passing a
-    vector supports general linear-variety priors.
-    """
-    fs = gs.function_set
-    two_n = 2 * fs.n
+def estimate_aps(gs: GramSystem, r_u: np.ndarray) -> ApsEstimate:
+    """Minimum-norm spectrum consistent with r_u and with the support
+    constraints, whose values are all 0."""
+    two_n = 2 * gs.function_set.n
     r_u = np.asarray(r_u, dtype=float)
     if r_u.shape != (two_n,):
         raise ContractError(f"r_u must have shape ({two_n},), got {r_u.shape}")
-    q_count = gs.L - two_n
-    if constraint_values is None:
-        b = np.zeros(q_count)
-    else:
-        b = np.asarray(constraint_values, dtype=float)
-        if b.shape != (q_count,):
-            raise ContractError(
-                f"constraint_values must have shape ({q_count},), got {b.shape}"
-            )
-    rbar = np.concatenate([r_u, b])
-    alpha = gs.apply_pinv(rbar)
+    alpha = gs.apply_pinv(np.concatenate([r_u, np.zeros(gs.L - two_n)]))
     return ApsEstimate(basis=gs.basis, coefficients=alpha)
 
 
@@ -367,6 +350,27 @@ def json_number(value, kind: type, where: str) -> int | float:
     if not math.isfinite(value):
         raise ContractError(f"{where} must be finite, got {value!r}")
     return value
+
+
+def json_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """``value``, nested lists of ``shape``, as a float array.  Every entry
+    must be a JSON number as ``json.load`` gives it (an int or a float; not
+    a bool, a string or null) and finite."""
+    entries = [value]
+    for size in shape:
+        if not all(isinstance(x, list) and len(x) == size for x in entries):
+            raise ContractError(f"{where} must be nested lists of shape {shape}")
+        entries = [y for x in entries for y in x]
+    if not set(map(type, entries)) <= {int, float}:
+        bad = next(x for x in entries if type(x) not in (int, float))
+        raise ContractError(f"{where} must hold numbers only, got {bad!r}")
+    try:
+        arr = np.array(entries, dtype=float).reshape(shape)
+    except OverflowError:  # an integer literal beyond the float range
+        arr = np.full(shape, math.inf)
+    if not np.all(np.isfinite(arr)):
+        raise ContractError(f"{where} must be finite")
+    return arr
 
 
 def spec_from_dict(cls, doc, where: str, base=None):
@@ -432,27 +436,24 @@ def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dic
 
 
 def operator_from_dict(doc: dict) -> ConversionOperator:
-    """Build the operator from a document after checking its shapes, that
-    its numbers are finite, and that n, L and rank agree.  Keys other than
-    those ``operator_to_dict`` writes (such as ``G`` and ``Q`` in older
-    files) are ignored."""
+    """Build the operator from a document after checking that n, L and rank
+    are integers that agree, and that A and downlink_norms_sq are arrays of
+    finite numbers of the shapes n gives.  Keys other than those
+    ``operator_to_dict`` writes (such as ``G`` and ``Q`` in older files) are
+    ignored."""
     try:
         cfg = spec_from_dict(UlaConfig, doc["config"], "config")
         support = support_from_list(doc.get("support", []), "support")
-        A = np.asarray(doc["A"], dtype=float)
+        n, L, rank = (json_number(doc[key], int, key) for key in ("n", "L", "rank"))
+        if n != cfg.n_antennas:
+            raise ContractError(
+                f"n = {n} does not match config.n_antennas = {cfg.n_antennas}"
+            )
+        A = json_array(doc["A"], (2 * n, 2 * n), "A")
         A.setflags(write=False)  # no other reference: the operator keeps it uncopied
-        norms = np.asarray(doc["downlink_norms_sq"], dtype=float)
-        n = int(doc["n"])
-        L = int(doc["L"])
-        rank = int(doc["rank"])
-    except (KeyError, TypeError, ValueError) as exc:
+        norms = json_array(doc["downlink_norms_sq"], (2 * n,), "downlink_norms_sq")
+    except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed operator document: {exc}") from exc
-    if n != cfg.n_antennas:
-        raise ContractError(f"n = {n} does not match config.n_antennas = {cfg.n_antennas}")
-    if norms.shape != (2 * n,):
-        raise ContractError(f"downlink_norms_sq must have shape ({2*n},), got {norms.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(norms))):
-        raise ContractError("A and downlink_norms_sq must be finite")
     if L < 2 * n:
         raise ContractError(f"L must be >= 2n = {2*n}, got {L}")
     if not 0 <= rank <= L:

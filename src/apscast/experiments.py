@@ -402,7 +402,7 @@ def run_fig2(
     errors_no = np.abs(op_no.A @ r_u - r_d)
     errors_si = np.abs(op_si.A @ r_u - r_d)
 
-    bounds_si = compute_bounds(gs_si, B, op_si).bounds_pv0
+    bounds_si = compute_bounds(gs_si, B).bounds_pv0
     leak = aps.norm_outside(c_s) if (c_s is not None and not c_s.is_empty()) else 0.0
     return Fig2Result(
         errors_no_si=errors_no,
@@ -455,10 +455,9 @@ def _write_rows(path: str, header: Sequence[str], rows) -> None:
 
 
 def write_fig1_csv(path: str, result: Fig1Result) -> None:
-    rows = [
-        [e0.k, repr(e0.bound_pv0), repr(e1.bound_pv0)]
-        for e0, e1 in zip(result.report_no_si.per_k, result.report_si.per_k)
-    ]
+    no_si = result.report_no_si.bounds_pv0.tolist()
+    si = result.report_si.bounds_pv0.tolist()
+    rows = [[k, repr(b0), repr(b1)] for k, (b0, b1) in enumerate(zip(no_si, si), start=1)]
     _write_rows(path, ["k", "bound_no_si", "bound_si"], rows)
 
 

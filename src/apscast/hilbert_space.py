@@ -153,12 +153,6 @@ class AngularFunction:
             return True
         return self.mask is not None and self.mask.measure() >= math.pi
 
-    def live_region(self) -> SupportSet:
-        """Where the function may be nonzero (complement of the mask)."""
-        if self.mask is None:
-            return SupportSet.full()
-        return self.mask.complement()
-
     def kernel_values(self, theta: np.ndarray) -> np.ndarray:
         """Trig kernel without mask handling (used by piecewise integrators)."""
         theta = np.asarray(theta, dtype=float)

@@ -85,9 +85,6 @@ class QuadratureResult:
     converged: bool
     panels: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class PinvResult:

@@ -112,7 +112,7 @@ def test_criterion_2_residual_oracle_equivalence(reference_cfg, c_s_right):
         report = compute_bounds(gs)
         worst_rel = 0.0
         for idx, g in enumerate(fs.downlink):
-            a = report.per_k[idx].residual
+            a = report.residuals[idx]
             b = oracle_residual(g, list(gs.basis), spec, gs.pinv)
             d = abs(a - b)
             rel = d / max(a, b, 1e-300)

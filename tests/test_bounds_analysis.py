@@ -1,11 +1,14 @@
 import csv
+import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
-from apscast.array_model import build_function_set
+from apscast.array_model import UlaConfig, build_function_set
 from apscast.bounds_analysis import (
+    RESIDUAL_FLOOR,
     bound_tightened_by_support,
     compute_bounds,
     write_bounds_csv,
@@ -22,21 +25,21 @@ class TestComputeBounds:
     def test_exact_member_slot_one(self, gs_ref_no_si):
         """g_d[1] is the constant function and sits in the uplink span."""
         report = compute_bounds(gs_ref_no_si)
-        assert report.per_k[0].residual == 0.0
-        assert report.per_k[0].bound_pv0 == 0.0
+        assert report.residuals[0] == 0.0
+        assert report.bounds_pv0[0] == 0.0
 
     def test_zero_function_slot(self, gs_ref_no_si):
         n = gs_ref_no_si.function_set.n
-        e = compute_bounds(gs_ref_no_si).per_k[n]
-        assert e.residual == 0.0 and e.norm_gdk_sq == 0.0
+        report = compute_bounds(gs_ref_no_si)
+        assert report.residuals[n] == 0.0 and report.norms_sq[n] == 0.0
 
     def test_frequency_coincidence_slots_are_exact(self, gs_ref_no_si):
         """d f_d / c = 0.525 * 19/18, so downlink slot 19 equals uplink slot 20
         exactly (lag 18 * 19/18 = 19); same on the imaginary branch."""
         report = compute_bounds(gs_ref_no_si)
         n = gs_ref_no_si.function_set.n
-        assert report.per_k[18].residual == 0.0
-        assert report.per_k[n + 18].residual == 0.0
+        assert report.residuals[18] == 0.0
+        assert report.residuals[n + 18] == 0.0
 
     def test_mixed_magnitudes_without_support_info(self, gs_ref_no_si):
         """Grating-lobe regime: some entries certified, others O(1)."""
@@ -58,19 +61,32 @@ class TestComputeBounds:
 
     def test_residual_never_exceeds_norm(self, gs_ref_si):
         report = compute_bounds(gs_ref_si)
-        for e in report.per_k:
-            assert e.residual <= math.sqrt(e.norm_gdk_sq) + 1e-9
+        for residual, norm_sq_k in zip(report.residuals, report.norms_sq):
+            assert residual <= math.sqrt(norm_sq_k) + 1e-9
 
-    def test_entry_bookkeeping(self, gs_ref_no_si):
-        report = compute_bounds(gs_ref_no_si)
+    def test_entry_bookkeeping(self, tmp_path, gs_ref_no_si):
+        path = tmp_path / "bounds.csv"
+        write_bounds_csv(str(path), compute_bounds(gs_ref_no_si))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         n = gs_ref_no_si.function_set.n
-        assert report.per_k[0].entry_kind == "real" and report.per_k[0].lag == 0
-        assert report.per_k[n].entry_kind == "imag" and report.per_k[n].lag == 0
-        assert report.per_k[2 * n - 1].lag == n - 1
+        assert rows[0]["entry_kind"] == "real" and rows[0]["lag"] == "0"
+        assert rows[n]["entry_kind"] == "imag" and rows[n]["lag"] == "0"
+        assert rows[2 * n - 1]["lag"] == str(n - 1)
 
     def test_invalid_B(self, gs_ref_no_si):
         with pytest.raises(ContractError):
             compute_bounds(gs_ref_no_si, B=0.0)
+
+    def test_residual_above_norm_names_slot(self, gs_ref_no_si):
+        """A residual larger than its kernel's norm is a numerical failure;
+        the message names the first such slot."""
+        residuals_sq = gs_ref_no_si.residuals_sq.copy()
+        residuals_sq[[6, 40]] = 4.0 * gs_ref_no_si.downlink_norms_sq[[6, 40]] + 1.0
+        gs = dataclasses.replace(gs_ref_no_si, residuals_sq=residuals_sq)
+        with pytest.raises(NumericalConsistencyError,
+                           match=r"exceeds \|\|g_d\|\| for slot 7$"):
+            compute_bounds(gs)
 
     def test_reuses_precomputed_operator(self, gs_ref_si):
         op = build_conversion_operator(gs_ref_si)
@@ -130,18 +146,20 @@ class TestChainSharpness:
 class TestBoundTightening:
     def test_identical_reports_zero_deltas(self, gs_ref_no_si):
         r = compute_bounds(gs_ref_no_si)
-        rows = bound_tightened_by_support(r, r)
-        assert all(c.delta == 0.0 for c in rows)
-        assert rows[0].k == 1
+        delta = bound_tightened_by_support(r, r)
+        assert np.all(delta == 0.0)
+        assert delta.shape == r.residuals.shape
 
     def test_clean_system_monotone(self, small_cfg, c_s_right):
         """At 4 antennas the support-information Gram keeps every genuine
         direction, so residuals shrink entrywise."""
         gs_no = build_gram_system(build_function_set(small_cfg, None))
         gs_si = build_gram_system(build_function_set(small_cfg, c_s_right))
-        rows = bound_tightened_by_support(compute_bounds(gs_no), compute_bounds(gs_si))
-        assert all(c.residual_with <= c.residual_without + 1e-9 for c in rows)
-        assert rows[0].residual_with == 0.0  # k = 1 stays exact
+        r_no, r_si = compute_bounds(gs_no), compute_bounds(gs_si)
+        delta = bound_tightened_by_support(r_no, r_si)
+        np.testing.assert_array_equal(delta, r_si.residuals - r_no.residuals)
+        assert np.all(r_si.residuals <= r_no.residuals + 1e-9)
+        assert r_si.residuals[0] == 0.0  # k = 1 stays exact
 
     def test_mismatched_reports_rejected(self, gs_ref_no_si, gs_small_si):
         a = compute_bounds(gs_ref_no_si)
@@ -158,11 +176,10 @@ class TestBoundTightening:
     def test_monotonicity_violation_raises(self, gs_ref_no_si, monkeypatch):
         a = compute_bounds(gs_ref_no_si)
         # fabricate a "support" report with one inflated residual
-        import dataclasses
-        worse = list(a.per_k)
-        worse[4] = dataclasses.replace(worse[4], residual=worse[4].residual + 1e-3)
-        b = dataclasses.replace(a, per_k=tuple(worse))
-        with pytest.raises(NumericalConsistencyError):
+        worse = a.residuals.copy()
+        worse[4] += 1e-3
+        b = dataclasses.replace(a, residuals=worse)
+        with pytest.raises(NumericalConsistencyError, match="at k=5:"):
             bound_tightened_by_support(a, b)
 
 
@@ -177,6 +194,56 @@ class TestCsvEmission:
         assert set(rows[0]) == {"k", "entry_kind", "lag", "residual",
                                 "bound_generic", "bound_pv0", "norm_gdk_sq"}
         # repr formatting round-trips exactly
-        for row, e in zip(rows, report.per_k):
-            assert float(row["residual"]) == e.residual
-            assert int(row["k"]) == e.k
+        for i, row in enumerate(rows):
+            assert float(row["residual"]) == report.residuals[i]
+            assert int(row["k"]) == i + 1
+
+
+def _per_record_rows(gs, B):
+    """Slot records as the per-record report formatted them: one Python
+    float per field, the slot labels stored with each record."""
+    n = gs.function_set.n
+    rows = []
+    for idx in range(2 * n):
+        norm_sq_k = float(gs.downlink_norms_sq[idx])
+        residual = math.sqrt(float(gs.residuals_sq[idx]))
+        if residual <= RESIDUAL_FLOOR * math.sqrt(norm_sq_k):
+            residual = 0.0
+        k = idx + 1
+        rows.append([k, "real" if k <= n else "imag",
+                     (k - 1) if k <= n else (k - n - 1), repr(residual),
+                     repr(2.0 * B * residual), repr(B * residual), repr(norm_sq_k)])
+    return rows
+
+
+def _csv_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("B", [1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 30])
+class TestCsvMatchesPerRecordFormat:
+    def test_bounds_csv(self, tmp_path, n, B, c_s_right):
+        for c_s in (None, c_s_right):
+            gs = build_gram_system(build_function_set(UlaConfig.reference(n_antennas=n), c_s))
+            path = tmp_path / "bounds.csv"
+            write_bounds_csv(str(path), compute_bounds(gs, B))
+            expected = _csv_bytes(["k", "entry_kind", "lag", "residual", "bound_generic",
+                                   "bound_pv0", "norm_gdk_sq"], _per_record_rows(gs, B))
+            assert path.read_bytes() == expected
+
+    def test_fig1_csv(self, tmp_path, n, B, c_s_right):
+        from apscast.experiments import run_fig1, write_fig1_csv
+
+        cfg = UlaConfig.reference(n_antennas=n)
+        path = tmp_path / "fig1.csv"
+        write_fig1_csv(str(path), run_fig1(cfg, c_s_right, B))
+        no_si, si = (_per_record_rows(build_gram_system(build_function_set(cfg, c_s)), B)
+                     for c_s in (None, c_s_right))
+        expected = _csv_bytes(["k", "bound_no_si", "bound_si"],
+                              [[e0[0], e0[5], e1[5]] for e0, e1 in zip(no_si, si)])
+        assert path.read_bytes() == expected

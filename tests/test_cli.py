@@ -307,7 +307,7 @@ class TestErrorPaths:
         assert main(["convert", "--config", recip_config_file,
                      "--input", str(inp), "-o", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("token", ["NaN", "1e400"])
+    @pytest.mark.parametrize("token", ["NaN", "1e400", '"1.5"', "true", "false"])
     def test_non_finite_covariance_exits_1(self, tmp_path, recip_config_file,
                                            capsys, token):
         inp = tmp_path / "cov.json"

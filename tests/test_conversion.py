@@ -272,16 +272,6 @@ class TestEstimateAps:
     def test_shape_validation(self, gs_ref_si):
         with pytest.raises(ContractError):
             estimate_aps(gs_ref_si, np.zeros(10))
-        with pytest.raises(ContractError):
-            estimate_aps(gs_ref_si, np.zeros(60), constraint_values=np.zeros(3))
-
-    def test_nonzero_constraint_values_supported(self, gs_small_si):
-        n = gs_small_si.function_set.n
-        b = np.full(len(gs_small_si.function_set.constraints), 0.01)
-        b[n] = 0.0  # slot N+1 is the zero function; any other value is infeasible
-        est = estimate_aps(gs_small_si, np.zeros(2 * n), constraint_values=b)
-        resat = gs_small_si.G @ est.coefficients
-        np.testing.assert_allclose(resat[2 * n:], b, atol=1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +292,14 @@ _BREAKS = {
     "rank-negative": lambda d: {"rank": -1},
     "rank-above-L": lambda d: {"rank": d["L"] + 1},
     "n-vs-config": lambda d: {"config": d["config"] | {"n_antennas": 5}},
+    "n-fractional": lambda d: {"n": d["n"] + 0.9},
+    "n-string": lambda d: {"n": str(d["n"])},
+    "L-fractional": lambda d: {"L": d["L"] + 0.5},
+    "rank-bool": lambda d: {"rank": True},
+    "rank-string": lambda d: {"rank": str(d["rank"])},
+    "A-string": lambda d: {"A": [[str(d["A"][0][0])] + d["A"][0][1:]] + d["A"][1:]},
+    "A-bool": lambda d: {"A": [[True] + d["A"][0][1:]] + d["A"][1:]},
+    "norms-string": lambda d: {"downlink_norms_sq": ["1.5"] + d["downlink_norms_sq"][1:]},
 }
 
 
