@@ -4,107 +4,70 @@ Converts an uplink channel covariance matrix into a downlink estimate via
 minimum-norm angular-power-spectrum estimation in L2([-pi/2, pi/2]), and
 certifies every entry of the result with projection-residual error bounds.
 Coarse support information about the spectrum enters as extra constraint
-functions and shrinks the bounds."""
+functions and shrinks the bounds.
 
-from .array_model import FunctionSet, UlaConfig, build_function_set, steering_vector
-from .bounds_analysis import (
-    BoundReport,
-    bound_tightened_by_support,
-    compute_bounds,
-    write_bounds_csv,
-)
-from .conversion import (
-    ApsEstimate,
-    ConversionOperator,
-    GramSystem,
-    HermitianToeplitzCov,
-    build_conversion_operator,
-    build_gram_system,
-    convert,
-    estimate_aps,
-    export_operator,
-    load_operator,
-)
-from .errors import ApscastError, ContractError, NumericalConsistencyError
-from .hilbert_space import (
-    AngularFunction,
-    GridFunction,
-    SupportSet,
-    Trig,
-    inner_product,
-    mask,
-)
-from .numerics import PinvSpec, QuadratureSpec, bessel_j0, integrate, pinv_psd
+Every public name loads its module on first use (PEP 562), so
+``import apscast`` imports no submodule and a process that only applies a
+stored operator never loads the build.
+"""
 
 __version__ = "1.0.0"
 
-# The figure drivers and spectrum synthesis load on first use (PEP 562), so a
-# process that only converts never imports them.
-_EXPERIMENTS = frozenset({
-    "ApsModel",
-    "ApsPeak",
-    "OracleSpec",
-    "oracle_residual",
-    "random_aps_model",
-    "run_fig1",
-    "run_fig2",
-    "run_fig3",
-    "synthesize_covariance",
-    "synthesize_r_vector",
-    "two_path_model",
-})
+# Public name -> the submodule that defines it.
+_HOME = {
+    "ApscastError": "errors",
+    "ContractError": "errors",
+    "NumericalConsistencyError": "errors",
+    "SupportSet": "records",
+    "UlaConfig": "records",
+    "ConversionOperator": "apply",
+    "HermitianToeplitzCov": "apply",
+    "convert": "apply",
+    "export_operator": "apply",
+    "load_operator": "apply",
+    "PinvSpec": "numerics",
+    "QuadratureSpec": "numerics",
+    "bessel_j0": "numerics",
+    "integrate": "numerics",
+    "pinv_psd": "numerics",
+    "AngularFunction": "hilbert_space",
+    "GridFunction": "hilbert_space",
+    "Trig": "hilbert_space",
+    "inner_product": "hilbert_space",
+    "mask": "hilbert_space",
+    "FunctionSet": "array_model",
+    "build_function_set": "array_model",
+    "steering_vector": "array_model",
+    "ApsEstimate": "conversion",
+    "GramSystem": "conversion",
+    "build_conversion_operator": "conversion",
+    "build_gram_system": "conversion",
+    "estimate_aps": "conversion",
+    "BoundReport": "bounds_analysis",
+    "bound_tightened_by_support": "bounds_analysis",
+    "compute_bounds": "bounds_analysis",
+    "write_bounds_csv": "bounds_analysis",
+    "ApsModel": "experiments",
+    "ApsPeak": "experiments",
+    "OracleSpec": "experiments",
+    "oracle_residual": "experiments",
+    "random_aps_model": "experiments",
+    "run_fig1": "experiments",
+    "run_fig2": "experiments",
+    "run_fig3": "experiments",
+    "synthesize_covariance": "experiments",
+    "synthesize_r_vector": "experiments",
+    "two_path_model": "experiments",
+}
+
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _EXPERIMENTS:
-        from . import experiments
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(experiments, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "AngularFunction",
-    "ApsEstimate",
-    "ApsModel",
-    "ApsPeak",
-    "ApscastError",
-    "BoundReport",
-    "ContractError",
-    "ConversionOperator",
-    "FunctionSet",
-    "GramSystem",
-    "GridFunction",
-    "HermitianToeplitzCov",
-    "NumericalConsistencyError",
-    "OracleSpec",
-    "PinvSpec",
-    "QuadratureSpec",
-    "SupportSet",
-    "Trig",
-    "UlaConfig",
-    "bessel_j0",
-    "bound_tightened_by_support",
-    "build_conversion_operator",
-    "build_function_set",
-    "build_gram_system",
-    "compute_bounds",
-    "convert",
-    "estimate_aps",
-    "export_operator",
-    "inner_product",
-    "integrate",
-    "load_operator",
-    "mask",
-    "oracle_residual",
-    "pinv_psd",
-    "random_aps_model",
-    "run_fig1",
-    "run_fig2",
-    "run_fig3",
-    "steering_vector",
-    "synthesize_covariance",
-    "synthesize_r_vector",
-    "two_path_model",
-    "write_bounds_csv",
-]
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,0 +1,266 @@
+"""Applying a stored conversion operator: the operator record, the
+Hermitian Toeplitz covariance, ``convert`` and the operator file.
+
+This is everything a process needs to convert covariances with an operator
+built earlier; it imports only ``records`` and ``errors`` of the package, so
+it never loads the build (kernel sampling, the SVD, bounds, experiments).
+
+The operator file is one JSON object.  ``A`` is a string: the base64
+encoding of its row-major, little-endian float64 bytes, 8 (2N)^2 bytes.
+Files written by earlier versions hold ``A`` as nested lists; they still
+load.
+"""
+
+from __future__ import annotations
+
+import base64
+import dataclasses
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ContractError
+from .records import (
+    SupportSet,
+    UlaConfig,
+    config_to_dict,
+    json_array,
+    json_number,
+    load_strict_json,
+    spec_from_dict,
+    support_from_list,
+)
+
+__all__ = [
+    "ConversionOperator",
+    "HermitianToeplitzCov",
+    "convert",
+    "operator_to_dict",
+    "operator_from_dict",
+    "export_operator",
+    "load_operator",
+]
+
+# Byte order and width of A in the operator file.
+A_DTYPE = np.dtype("<f8")
+
+
+@dataclass(frozen=True)
+class ConversionOperator:
+    """Precomputed uplink-to-downlink conversion.
+
+    ``A`` is Q^T G^+ restricted to its first 2N columns, so that
+    [Re(col); Im(col)] of the converted covariance equals A @ r.  It depends
+    only on the array geometry and support information, so it is built once
+    and reused for every covariance.  ``downlink_norms_sq``, ``rank`` and
+    ``L`` (the basis size) describe the build; G and Q stay on the
+    ``GramSystem``.
+
+    ``A`` is in slot order (rows and columns 0..N-1 real parts, N..2N-1
+    imaginary parts); it is what operator files hold and what callers read.
+    It is read-only, so writing into ``op.A`` raises ``ValueError``; a new
+    ``A`` takes ``dataclasses.replace``.  A writable array given to the
+    constructor is copied, a read-only one is kept.  Beside it the operator
+    keeps a copy with the rows interleaved (row 2i is slot i, row 2i+1 slot
+    N+i; columns in slot order), so the product in ``convert`` is the
+    storage of the complex first column.  That copy costs one more 2N x 2N
+    float64 per operator.
+    """
+
+    config: UlaConfig
+    support: SupportSet | None
+    A: np.ndarray
+    downlink_norms_sq: np.ndarray
+    rank: int
+    L: int
+    _A_interleaved: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.n
+        A = np.asarray(self.A, dtype=float, order="C")
+        if A.shape != (2 * n, 2 * n):
+            raise ContractError(f"A must have shape ({2*n}, {2*n}), got {A.shape}")
+        if A.flags.writeable:
+            A = A.copy()  # the caller may still write into its own array
+            A.setflags(write=False)
+        rows = np.empty_like(A)
+        rows[0::2], rows[1::2] = A[:n], A[n:]
+        rows.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "_A_interleaved", rows)
+
+    @property
+    def n(self) -> int:
+        return self.config.n_antennas
+
+
+# ---------------------------------------------------------------------------
+# Hermitian Toeplitz covariance
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HermitianToeplitzCov:
+    """N x N Hermitian Toeplitz covariance stored as its first column.
+
+    ``first_col`` is read-only.  A writable array given to the constructor
+    is copied, a read-only one is kept, as for ``ConversionOperator.A``.
+    """
+
+    first_col: np.ndarray
+
+    def __post_init__(self) -> None:
+        col = np.asarray(self.first_col, dtype=complex)
+        if col.ndim != 1 or col.size < 1:
+            raise ContractError("first_col must be a nonempty vector")
+        if col[0].imag != 0.0:
+            raise ContractError(
+                "diagonal entry must be real: imag(first_col[0]) = "
+                f"{col[0].imag!r}"
+            )
+        if col.flags.writeable:
+            col = col.copy()  # the caller may still write into its own array
+            col.setflags(write=False)
+        object.__setattr__(self, "first_col", col)
+
+    @property
+    def n(self) -> int:
+        return self.first_col.size
+
+    def to_r_vector(self) -> np.ndarray:
+        """[Re(first column); Im(first column)] in slot order."""
+        return np.concatenate([self.first_col.real, self.first_col.imag])
+
+    @classmethod
+    def from_r_vector(cls, r: np.ndarray) -> "HermitianToeplitzCov":
+        r = np.asarray(r, dtype=float)
+        if r.ndim != 1 or r.size % 2 != 0:
+            raise ContractError("r vector must have even length 2N")
+        n = r.size // 2
+        col = r[:n] + 1j * r[n:]
+        col.setflags(write=False)  # no other reference: kept uncopied
+        return cls(col)
+
+    def expand(self) -> np.ndarray:
+        """Full Hermitian Toeplitz matrix R[n, m] = c_{n-m}."""
+        c = self.first_col
+        idx = np.subtract.outer(np.arange(self.n), np.arange(self.n))
+        out = np.where(idx >= 0, c[np.abs(idx)], np.conj(c[np.abs(idx)]))
+        return out
+
+
+def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToeplitzCov:
+    """Uplink-to-downlink covariance conversion: one matrix-vector product.
+
+    The product runs over the operator's row-interleaved copy of ``A`` and
+    writes its float64 output straight into the storage of the converted
+    complex first column.  Each entry is the same dot product as in
+    ``op.A @ r_u.to_r_vector()``, summed in the same order, so the two agree
+    bit for bit.
+    """
+    if r_u.n != op.n:
+        raise ContractError(
+            f"covariance dimension {r_u.n} does not match operator dimension {op.n}"
+        )
+    c = r_u.first_col
+    col = np.empty(op.n, dtype=complex)
+    np.dot(op._A_interleaved, np.concatenate((c.real, c.imag)), out=col.view(float))
+    col.setflags(write=False)  # no other reference: kept uncopied
+    try:
+        return HermitianToeplitzCov(col)
+    except ContractError as exc:
+        # Row N of a built A is zero, so a NaN or inf input surfaces here
+        # as a non-real diagonal; name the cause instead.
+        if not np.all(np.isfinite(c)):
+            raise ContractError("covariance entries must be finite") from exc
+        raise
+
+
+# ---------------------------------------------------------------------------
+# Operator (de)serialization
+# ---------------------------------------------------------------------------
+
+
+def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dict:
+    """The operator as a JSON-ready document, ``A`` base64-encoded.  ``G``
+    is written, as nested lists, only when given; no reader needs it."""
+    sections = config_to_dict(op.config, op.support)
+    doc = {
+        "n": op.n,
+        "L": op.L,
+        "A": base64.b64encode(op.A.astype(A_DTYPE, copy=False).tobytes()).decode("ascii"),
+        "rank": op.rank,
+        "config": sections["array"],
+        "support": sections["support"],
+        "downlink_norms_sq": op.downlink_norms_sq.tolist(),
+    }
+    if G is not None:
+        doc["G"] = np.asarray(G).tolist()
+    return doc
+
+
+def _read_A(value, n: int) -> np.ndarray:
+    """``A`` from a document: a base64 string of 8 (2n)^2 bytes, kept as a
+    read-only view of the decoded bytes, or (earlier files) nested lists."""
+    if not isinstance(value, str):
+        A = json_array(value, (2 * n, 2 * n), "A")
+        A.setflags(write=False)  # no other reference: the operator keeps it uncopied
+        return A
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:
+        raise ContractError(f"A is not valid base64: {exc}") from exc
+    size = A_DTYPE.itemsize * (2 * n) ** 2
+    if len(raw) != size:
+        raise ContractError(f"A must decode to {size} bytes for n = {n}, got {len(raw)}")
+    A = np.frombuffer(raw, dtype=A_DTYPE).reshape(2 * n, 2 * n)
+    if not np.all(np.isfinite(A)):
+        raise ContractError("A must be finite")
+    return A
+
+
+def operator_from_dict(doc: dict) -> ConversionOperator:
+    """Build the operator from a document after checking that n, L and rank
+    are integers that agree, that A is a finite (2n, 2n) array (base64 or
+    nested lists) and downlink_norms_sq a list of 2n finite numbers.  Keys
+    other than those ``operator_to_dict`` writes (such as ``G`` and ``Q`` in
+    older files) are ignored."""
+    try:
+        cfg = spec_from_dict(UlaConfig, doc["config"], "config")
+        support = support_from_list(doc.get("support", []), "support")
+        n, L, rank = (json_number(doc[key], int, key) for key in ("n", "L", "rank"))
+        if n != cfg.n_antennas:
+            raise ContractError(
+                f"n = {n} does not match config.n_antennas = {cfg.n_antennas}"
+            )
+        A = _read_A(doc["A"], n)
+        norms = json_array(doc["downlink_norms_sq"], (2 * n,), "downlink_norms_sq")
+    except (KeyError, TypeError) as exc:
+        raise ContractError(f"malformed operator document: {exc}") from exc
+    if L < 2 * n:
+        raise ContractError(f"L must be >= 2n = {2*n}, got {L}")
+    if not 0 <= rank <= L:
+        raise ContractError(f"rank must be in 0..L = 0..{L}, got {rank}")
+    return ConversionOperator(
+        config=cfg, support=support, A=A,
+        downlink_norms_sq=norms, rank=rank, L=L,
+    )
+
+
+def export_operator(path: str, op: ConversionOperator, G: np.ndarray | None = None) -> None:
+    """Write the operator file; a non-finite ``A`` raises ValueError before
+    the file is opened, as any non-finite number does."""
+    if not np.all(np.isfinite(op.A)):
+        raise ValueError("A must be finite to be written")
+    text = json.dumps(operator_to_dict(op, G), allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def load_operator(path: str) -> ConversionOperator:
+    doc = load_strict_json(path, "operator file")
+    try:
+        return operator_from_dict(doc)
+    except ContractError as exc:
+        raise ContractError(f"operator file {path}: {exc}") from exc

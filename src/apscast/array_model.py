@@ -17,62 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .hilbert_space import HALF_PI, AngularFunction, SupportSet, Trig, mask
+from .hilbert_space import AngularFunction, Trig, mask
+from .records import HALF_PI, TWO_PI, SupportSet, UlaConfig
 
-__all__ = ["UlaConfig", "FunctionSet", "build_function_set", "steering_vector"]
-
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class UlaConfig:
-    """Array geometry and duplex frequencies.
-
-    All kernels depend only on the unitless products d*f/c, exposed as
-    ``spacing_up``/``spacing_down``.
-    """
-
-    n_antennas: int
-    spacing: float
-    f_up: float
-    f_down: float
-    wave_speed: float = 3.0e8
-
-    def __post_init__(self) -> None:
-        if self.n_antennas < 1:
-            raise ContractError(f"n_antennas must be >= 1, got {self.n_antennas}")
-        for name in ("spacing", "f_up", "f_down", "wave_speed"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ContractError(f"{name} must be positive and finite, got {v}")
-
-    @property
-    def spacing_up(self) -> float:
-        return self.spacing * self.f_up / self.wave_speed
-
-    @property
-    def spacing_down(self) -> float:
-        return self.spacing * self.f_down / self.wave_speed
-
-    @classmethod
-    def reference(cls, n_antennas: int = 30) -> "UlaConfig":
-        """The reference 30-antenna configuration: f_u = 1.8 GHz,
-        f_d = 1.9 GHz, d = 1.05 c / (2 f_u), so d f_u / c = 0.525 (above the
-        half-wavelength limit: grating lobes)."""
-        f_up = 1.8e9
-        c = 3.0e8
-        return cls(
-            n_antennas=n_antennas,
-            spacing=1.05 * c / (2.0 * f_up),
-            f_up=f_up,
-            f_down=1.9e9,
-            wave_speed=c,
-        )
-
-    def omegas(self, side: str) -> np.ndarray:
-        """Kernel frequencies 2 pi (f d / c) (k - 1), k = 1..N."""
-        s = self.spacing_up if side == "uplink" else self.spacing_down
-        return TWO_PI * s * np.arange(self.n_antennas, dtype=float)
+__all__ = ["FunctionSet", "build_function_set", "steering_vector"]
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import ConversionOperator, GramSystem, config_to_dict
+from .apply import ConversionOperator
+from .conversion import GramSystem
 from .errors import ContractError, NumericalConsistencyError
 from .hilbert_space import norm_sq  # noqa: F401  unused; bench/tracing.py wraps it here
+from .records import config_to_dict
 
 __all__ = [
     "BoundReport",

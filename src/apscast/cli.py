@@ -24,31 +24,27 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .array_model import UlaConfig, build_function_set
-from .bounds_analysis import compute_bounds, write_bounds_csv
-from .conversion import (
-    HermitianToeplitzCov,
-    build_conversion_operator,
-    build_gram_system,
+from .apply import HermitianToeplitzCov, convert, export_operator, load_operator
+from .errors import ContractError, NumericalConsistencyError
+from .records import (
+    SupportSet,
+    UlaConfig,
     config_to_dict,
-    convert,
-    export_operator,
     json_array,
     json_number,
     json_object,
-    load_operator,
     load_strict_json,
     spec_from_dict,
     support_from_list,
 )
-from .errors import ContractError, NumericalConsistencyError
-from .hilbert_space import SupportSet
-from .numerics import PinvSpec, QuadratureSpec
 
-# experiments (figure drivers, spectrum synthesis) is imported inside the
-# functions that use it, so that ``convert --operator`` never loads it.
+# Only the apply layer loads with this module, so ``convert --operator``
+# never imports the build (array_model, hilbert_space, numerics, conversion,
+# bounds_analysis) or experiments; the handlers that need them import them.
 if TYPE_CHECKING:
+    from .apply import ConversionOperator
     from .experiments import ApsModel
+    from .numerics import PinvSpec, QuadratureSpec
 
 __all__ = ["main", "RunConfig"]
 
@@ -69,6 +65,7 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Read a config document; every key is optional and checked."""
         from .experiments import ApsModel, ApsPeak, two_path_model
+        from .numerics import PinvSpec, QuadratureSpec
 
         json_object(doc, {f.name for f in dataclasses.fields(cls)}, "config")
         B = json_number(doc.get("B", 1.0), float, "config.B")
@@ -120,6 +117,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _build_operator(cfg: RunConfig) -> ConversionOperator:
+    from .array_model import build_function_set
+    from .conversion import build_conversion_operator, build_gram_system
+
+    fs = build_function_set(cfg.array, cfg.support)
+    return build_conversion_operator(build_gram_system(fs, cfg.pinv))
+
+
 def _out_path(args: argparse.Namespace, default_name: str) -> str:
     out = args.output or "."
     if os.path.isdir(out) or out.endswith(os.sep) or "." not in os.path.basename(out):
@@ -161,6 +166,9 @@ def _write_covariance(path: str, cov: HermitianToeplitzCov) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .array_model import build_function_set
+    from .bounds_analysis import compute_bounds, write_bounds_csv
+    from .conversion import build_gram_system
     from .experiments import write_metadata
 
     cfg = _load_config(args)
@@ -228,14 +236,16 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    if args.operator:
+        for option in ("config", "support"):
+            if getattr(args, option) is not None:
+                raise ContractError(f"--{option} cannot be used with --operator: "
+                                    "the operator file fixes the array and the support")
     cov = _read_covariance(args.input)
     if args.operator:
         op = load_operator(args.operator)
     else:
-        cfg = _load_config(args)
-        fs = build_function_set(cfg.array, cfg.support)
-        gs = build_gram_system(fs, cfg.pinv)
-        op = build_conversion_operator(gs)
+        op = _build_operator(_load_config(args))
     out = convert(op, cov)
     path = _out_path(args, "converted.json")
     _write_covariance(path, out)
@@ -244,10 +254,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_operator(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    fs = build_function_set(cfg.array, cfg.support)
-    gs = build_gram_system(fs, cfg.pinv)
-    op = build_conversion_operator(gs)
+    op = _build_operator(_load_config(args))
     path = _out_path(args, "operator.json")
     export_operator(path, op)
     print(f"wrote {path} (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})")

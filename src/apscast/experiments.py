@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import FunctionSet, UlaConfig, build_function_set
+from .apply import HermitianToeplitzCov
+from .array_model import FunctionSet, build_function_set
 from .bounds_analysis import BoundReport, compute_bounds
 from .conversion import (
     GramSystem,
@@ -27,8 +28,9 @@ from .conversion import (
     estimate_aps,
 )
 from .errors import ContractError, NumericalConsistencyError
-from .hilbert_space import HALF_PI, AngularFunction, GridFunction, SupportSet
+from .hilbert_space import AngularFunction, GridFunction
 from .numerics import PinvSpec, QuadratureSpec, integrate
+from .records import HALF_PI, SupportSet, UlaConfig
 
 __all__ = [
     "ApsPeak",
@@ -209,8 +211,6 @@ def synthesize_covariance(
     quad: QuadratureSpec = QuadratureSpec(),
 ):
     """Hermitian Toeplitz covariance of the given side for this spectrum."""
-    from .conversion import HermitianToeplitzCov
-
     if side not in ("uplink", "downlink"):
         raise ContractError(f"side must be 'uplink' or 'downlink', got {side!r}")
     funcs = fs.uplink if side == "uplink" else fs.downlink

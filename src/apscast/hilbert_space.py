@@ -13,17 +13,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericalConsistencyError
 from .numerics import QuadratureSpec, bessel_j0, gauss_legendre, integrate
+from .records import HALF_PI, SupportSet
 
 __all__ = [
-    "HALF_PI",
     "Trig",
-    "SupportSet",
     "AngularFunction",
     "GridFunction",
     "inner_product",
@@ -38,8 +37,6 @@ __all__ = [
     "RESIDUAL_CLAMP",
 ]
 
-HALF_PI = math.pi / 2.0
-
 # Reference path only (the difference form ||g||^2 - z^T G^+ z, which can
 # cancel to either sign): squared-residual values within RESIDUAL_CLAMP of
 # zero are reported as an exact zero; values below -RESIDUAL_CLAMP raise
@@ -51,77 +48,6 @@ RESIDUAL_CLAMP = 1e-9
 class Trig(enum.Enum):
     COSINE = "cos"
     SINE = "sin"
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Finite union of disjoint closed intervals inside [-pi/2, pi/2],
-    kept sorted."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __init__(self, intervals: Iterable[Sequence[float]]) -> None:
-        ivs = sorted((float(a), float(b)) for a, b in intervals)
-        for a, b in ivs:
-            if not (-HALF_PI - 1e-12 <= a <= b <= HALF_PI + 1e-12):
-                raise ContractError(
-                    f"interval [{a}, {b}] is not inside [-pi/2, pi/2]"
-                )
-        for (_, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
-            if a1 < b0:
-                raise ContractError("support intervals must be pairwise disjoint")
-        ivs = [(max(a, -HALF_PI), min(b, HALF_PI)) for a, b in ivs]
-        object.__setattr__(self, "intervals", tuple(ivs))
-
-    @classmethod
-    def empty(cls) -> "SupportSet":
-        return cls(())
-
-    @classmethod
-    def full(cls) -> "SupportSet":
-        return cls(((-HALF_PI, HALF_PI),))
-
-    def measure(self) -> float:
-        return sum(b - a for a, b in self.intervals)
-
-    def is_empty(self) -> bool:
-        return self.measure() == 0.0
-
-    def complement(self) -> "SupportSet":
-        """Closure of [-pi/2, pi/2] minus this set (zero-width gaps dropped)."""
-        out = []
-        cursor = -HALF_PI
-        for a, b in self.intervals:
-            if a > cursor:
-                out.append((cursor, a))
-            cursor = max(cursor, b)
-        if cursor < HALF_PI:
-            out.append((cursor, HALF_PI))
-        return SupportSet(out)
-
-    def union(self, other: "SupportSet") -> "SupportSet":
-        ivs = sorted(self.intervals + other.intervals)
-        merged: list[tuple[float, float]] = []
-        for a, b in ivs:
-            if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        return SupportSet(merged)
-
-    def contains(self, theta: np.ndarray) -> np.ndarray:
-        """Boolean membership mask, elementwise over ``theta``."""
-        theta = np.asarray(theta, dtype=float)
-        inside = np.zeros(theta.shape, dtype=bool)
-        for a, b in self.intervals:
-            inside |= (theta >= a) & (theta <= b)
-        return inside
-
-    def boundary_points(self) -> list[float]:
-        pts: list[float] = []
-        for a, b in self.intervals:
-            pts.extend((a, b))
-        return pts
 
 
 @dataclass(frozen=True)

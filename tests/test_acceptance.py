@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from apscast.array_model import UlaConfig, build_function_set
+from apscast.array_model import build_function_set
 from apscast.bounds_analysis import compute_bounds
 from apscast.conversion import build_conversion_operator, build_gram_system
 from apscast.experiments import (
@@ -31,13 +31,13 @@ from apscast.experiments import (
 )
 from apscast.hilbert_space import (
     AngularFunction,
-    SupportSet,
     Trig,
     inner_product,
     inner_product_quadrature,
     norm_sq,
 )
 from apscast.numerics import PinvSpec
+from apscast.records import SupportSet, UlaConfig
 
 HALF_PI = math.pi / 2
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

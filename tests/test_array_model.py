@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from apscast.array_model import UlaConfig, build_function_set, steering_vector
+from apscast.array_model import build_function_set, steering_vector
 from apscast.errors import ContractError
-from apscast.hilbert_space import SupportSet, Trig, inner_product, norm_sq
+from apscast.hilbert_space import Trig, inner_product, norm_sq
 from apscast.numerics import bessel_j0
+from apscast.records import SupportSet, UlaConfig
 
 PI = math.pi
 HALF_PI = math.pi / 2

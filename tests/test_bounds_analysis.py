@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from apscast.array_model import UlaConfig, build_function_set
+from apscast.array_model import build_function_set
 from apscast.bounds_analysis import (
     RESIDUAL_FLOOR,
     bound_tightened_by_support,
@@ -16,6 +16,7 @@ from apscast.bounds_analysis import (
 from apscast.conversion import build_conversion_operator, build_gram_system
 from apscast.errors import ContractError, NumericalConsistencyError
 from apscast.numerics import PinvSpec
+from apscast.records import UlaConfig
 
 PI = math.pi
 HALF_PI = math.pi / 2

@@ -1,3 +1,4 @@
+import base64
 import csv
 import dataclasses
 import json
@@ -245,10 +246,50 @@ class TestCommands:
         assert set(doc) == {"n", "L", "A", "rank", "config", "support",
                             "downlink_norms_sq"}
         assert doc["n"] == 4 and doc["L"] == 16
-        assert len(doc["A"]) == 8 and len(doc["A"][0]) == 8
+        assert len(base64.b64decode(doc["A"], validate=True)) == 8 * 8 * 8  # float64 bytes
+
+
+# Modules a process that applies a stored operator must not load.
+BUILD_MODULES = tuple(f"apscast.{m}" for m in (
+    "numerics", "hilbert_space", "array_model", "conversion", "bounds_analysis",
+    "experiments"))
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this apscast."""
+    src = os.path.dirname(os.path.dirname(apscast.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
 
 
 class TestColdImport:
+    def test_package_import_loads_no_submodule(self):
+        code = ("import sys, apscast; "
+                "print([m for m in sys.modules if m.startswith('apscast.')])")
+        assert _fresh_python(code) == "[]"
+
+    def test_convert_with_operator_loads_only_the_apply_layer(self, tmp_path,
+                                                              small_config_file):
+        """Neither ``import apscast.cli`` nor a whole ``convert --operator``
+        run imports the build modules or the experiments."""
+        op_path, inp = tmp_path / "op.json", tmp_path / "cov.json"
+        assert main(["export-operator", "--config", small_config_file,
+                     "-o", str(op_path)]) == 0
+        inp.write_text(json.dumps({"n": 4, "first_col_re": [1.0, 0.5, 0.0, 0.0],
+                                   "first_col_im": [0.0, 0.25, 0.0, 0.0]}))
+        code = ("import json, sys\n"
+                "import apscast.cli\n"
+                f"build = {BUILD_MODULES!r}\n"
+                "loaded = [m for m in build if m in sys.modules]\n"
+                "op, inp, out = sys.argv[1:]\n"
+                "code = apscast.cli.main(['convert', '--operator', op, '--input', inp,"
+                " '-o', out])\n"
+                "print(json.dumps([loaded, [m for m in build if m in sys.modules], code]))")
+        got = _fresh_python(code, str(op_path), str(inp), str(tmp_path / "out.json"))
+        assert json.loads(got.splitlines()[-1]) == [[], [], 0]
+
     def test_cli_import_leaves_experiments_unloaded(self):
         """``convert --operator`` needs neither the figure experiments nor
         spectrum synthesis, and no config hash or CSV writer."""
@@ -286,14 +327,36 @@ class TestErrorPaths:
                      "--input", str(tmp_path / "nope.json"),
                      "-o", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("name", ["missing.json", "."])
-    def test_unreadable_operator_exits_1(self, tmp_path, capsys, name):
+    @pytest.mark.parametrize("name, content, option", [
+        pytest.param("missing.json", None, None, id="missing.json"),
+        pytest.param(".", None, None, id="."),
+        pytest.param("latin1.json", b'{"n": "caf\xe9"}', None, id="not-utf8"),
+        pytest.param("deep.json", b"[" * 10**5 + b"]" * 10**5, None, id="deep-nesting"),
+        pytest.param("op.json", "exported", "--config", id="config-ignored"),
+        pytest.param("op.json", "exported", "--support", id="support-ignored"),
+    ])
+    def test_unreadable_operator_exits_1(self, tmp_path, capsys, small_config_file,
+                                         name, content, option):
+        """An operator file that cannot be read, or an option that
+        ``--operator`` would ignore: exit 1 with an ``error:`` line that names
+        the file or the option, and nothing is written."""
         inp = tmp_path / "cov.json"
-        inp.write_text(json.dumps({"n": 1, "first_col_re": [1.0], "first_col_im": [0.0]}))
+        inp.write_text(json.dumps({"n": 4, "first_col_re": [1.0, 0.0, 0.0, 0.0],
+                                   "first_col_im": [0.0, 0.0, 0.0, 0.0]}))
         op_path = tmp_path / name
+        if content == "exported":
+            assert main(["export-operator", "--config", small_config_file,
+                         "-o", str(op_path)]) == 0
+        elif content is not None:
+            op_path.write_bytes(content)
+        extra = {None: [], "--config": ["--config", small_config_file],
+                 "--support": ["--support", "0.1", "0.2"]}[option]
+        out = tmp_path / "out.json"
         assert main(["convert", "--operator", str(op_path), "--input", str(inp),
-                     "-o", str(tmp_path / "out.json")]) == 1
-        assert str(op_path) in capsys.readouterr().err
+                     "-o", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (option or str(op_path)) in err
+        assert not out.exists()
 
     def test_odd_support_values_exit_1(self, tmp_path, small_config_file):
         assert main(["bounds", "--config", small_config_file,
@@ -307,12 +370,16 @@ class TestErrorPaths:
         assert main(["convert", "--config", recip_config_file,
                      "--input", str(inp), "-o", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("token", ["NaN", "1e400", '"1.5"', "true", "false"])
+    @pytest.mark.parametrize("token", [
+        "NaN", "1e400", '"1.5"', "true", "false",
+        pytest.param('"caf\xe9"', id="not-utf8"),  # one byte 0xe9 in latin-1
+        pytest.param("[" * 10**5 + "]" * 10**5, id="deep-nesting"),
+    ])
     def test_non_finite_covariance_exits_1(self, tmp_path, recip_config_file,
                                            capsys, token):
         inp = tmp_path / "cov.json"
         inp.write_text('{"n": 2, "first_col_re": [1.0, %s], '
-                       '"first_col_im": [0.0, 0.0]}' % token)
+                       '"first_col_im": [0.0, 0.0]}' % token, encoding="latin-1")
         out = tmp_path / "out.json"
         assert main(["convert", "--config", recip_config_file,
                      "--input", str(inp), "-o", str(out)]) == 1
@@ -366,15 +433,17 @@ class TestErrorPaths:
         ('{"support": [[0.0, "a"]]}', "config.support"),
         ("[]", "config"),
         ('{"grid_points": 1e400}', "config.grid_points"),
+        ('{"B": "caf\xe9"}', "is not UTF-8"),  # one byte 0xe9 in latin-1
+        ("[" * 10**5 + "]" * 10**5, "nested too deeply"),
     ], ids=["fractional-int", "string-int", "string-float", "null-float",
             "overflowing-float", "string-quad", "string-pinv", "array-not-object",
             "peak-without-scale", "string-support", "list-config",
-            "overflowing-int"])
+            "overflowing-int", "not-utf8", "deep-nesting"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, text, key):
         """Each bad value is rejected while reading the config, with an
         ``error:`` line that names its key, and nothing is written."""
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_text(text, encoding="latin-1")
         out = tmp_path / "out"
         assert main(["fig3", "--config", str(bad), "-o", str(out)]) == 1
         err = capsys.readouterr().err
@@ -387,6 +456,7 @@ class TestErrorPaths:
         assert main(["export-operator", "--config", small_config_file,
                      "-o", str(op_path)]) == 0
         doc = json.loads(op_path.read_text())
+        doc["A"] = np.frombuffer(base64.b64decode(doc["A"]), "<f8").reshape(8, 8).tolist()
         doc["rank"] = 10**6
         doc["A"][0][0] = math.inf
         op_path.write_text(json.dumps(doc))  # writes the token Infinity
@@ -420,11 +490,9 @@ class TestErrorPaths:
 
     def test_numerical_consistency_exits_2(self, monkeypatch, tmp_path,
                                            small_config_file):
-        import apscast.cli as cli_mod
-
         def boom(*args, **kwargs):
             raise NumericalConsistencyError("rigged")
 
-        monkeypatch.setattr(cli_mod, "compute_bounds", boom)
+        monkeypatch.setattr("apscast.bounds_analysis.compute_bounds", boom)
         assert main(["bounds", "--config", small_config_file,
                      "-o", str(tmp_path)]) == 2

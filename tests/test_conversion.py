@@ -1,29 +1,30 @@
+import base64
 import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from apscast.array_model import UlaConfig, build_function_set
-from apscast.conversion import (
+from apscast.apply import (
     HermitianToeplitzCov,
-    build_conversion_operator,
-    build_gram_system,
     convert,
-    estimate_aps,
     export_operator,
     load_operator,
     operator_from_dict,
     operator_to_dict,
 )
+from apscast.array_model import build_function_set
+from apscast.conversion import build_conversion_operator, build_gram_system, estimate_aps
 from apscast.errors import ContractError
 from apscast.experiments import (
     random_aps_model,
     synthesize_covariance,
     synthesize_r_vector,
 )
-from apscast.hilbert_space import SupportSet, inner_product_with_status
+from apscast.hilbert_space import inner_product_with_status
+from apscast.records import SupportSet, UlaConfig
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -274,11 +275,38 @@ class TestEstimateAps:
             estimate_aps(gs_ref_si, np.zeros(10))
 
 
+@functools.lru_cache(maxsize=None)
+def _built_operator(n, support):
+    """The operator for N = n and the ``_SUPPORTS`` entry named ``support``."""
+    c_s = _SUPPORTS[support] and SupportSet(_SUPPORTS[support])
+    return build_conversion_operator(build_gram_system(
+        build_function_set(UlaConfig.reference(n), c_s)))
+
+
+def _legacy_operator_to_dict(op):
+    """The document earlier versions wrote: ``A`` as row-major nested lists."""
+    return {
+        "n": op.n,
+        "L": op.L,
+        "A": op.A.tolist(),
+        "rank": op.rank,
+        "config": dataclasses.asdict(op.config),
+        "support": [list(iv) for iv in op.support.intervals] if op.support else [],
+        "downlink_norms_sq": op.downlink_norms_sq.tolist(),
+    }
+
+
+def _b64(values) -> str:
+    """Base64 of little-endian float64 bytes, as operator files hold ``A``."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 @pytest.fixture(scope="module")
 def small_operator_doc():
-    """Operator document for N=4 with support [0, pi/2] (L = 16)."""
+    """Operator document for N=4 with support [0, pi/2] (L = 16), in the
+    legacy list form, so that breaks can edit ``A`` entry by entry."""
     fs = build_function_set(UlaConfig.reference(n_antennas=4), SupportSet([[0.0, HALF_PI]]))
-    return operator_to_dict(build_conversion_operator(build_gram_system(fs)))
+    return _legacy_operator_to_dict(build_conversion_operator(build_gram_system(fs)))
 
 
 # One broken invariant each, as a replacement of top-level keys.
@@ -300,6 +328,12 @@ _BREAKS = {
     "A-string": lambda d: {"A": [[str(d["A"][0][0])] + d["A"][0][1:]] + d["A"][1:]},
     "A-bool": lambda d: {"A": [[True] + d["A"][0][1:]] + d["A"][1:]},
     "norms-string": lambda d: {"downlink_norms_sq": ["1.5"] + d["downlink_norms_sq"][1:]},
+    "A-base64-bad-character": lambda d: {"A": "!" + _b64(d["A"])[1:]},
+    "A-base64-one-float-short": lambda d: {"A": _b64(np.ravel(d["A"])[:-1])},
+    "A-base64-nan": lambda d: {"A": _b64([[math.nan] + d["A"][0][1:]] + d["A"][1:])},
+    "A-base64-inf": lambda d: {"A": _b64([[-math.inf] + d["A"][0][1:]] + d["A"][1:])},
+    "A-number": lambda d: {"A": 1.5},
+    "A-null": lambda d: {"A": None},
 }
 
 
@@ -343,6 +377,35 @@ class TestOperatorSerialization:
         cov = synthesize_covariance(aps, fs, "uplink")
         np.testing.assert_array_equal(convert(a, cov).first_col,
                                       convert(b, cov).first_col)
+
+    @pytest.mark.parametrize("support", _SUPPORTS)
+    @pytest.mark.parametrize("n", [1, 2, 30, 64])
+    def test_base64_round_trip_bit_exact(self, tmp_path, n, support):
+        """The file holds A as base64 of its little-endian float64 bytes and
+        loads it back bit for bit, read-only."""
+        op = _built_operator(n, support)
+        path = tmp_path / "op.json"
+        export_operator(str(path), op)
+        encoded = json.loads(path.read_text())["A"]
+        assert isinstance(encoded, str)
+        assert base64.b64decode(encoded) == op.A.astype("<f8").tobytes()
+        loaded = load_operator(str(path))
+        assert loaded.A.tobytes() == op.A.tobytes()
+        assert not loaded.A.flags.writeable
+
+    @pytest.mark.parametrize("support", _SUPPORTS)
+    @pytest.mark.parametrize("n", [1, 2, 30, 64])
+    def test_legacy_list_document_loads_identically(self, n, support, rng):
+        """A document with A as nested lists, as earlier versions wrote it,
+        gives the same A bytes and the same conversions as the base64 one."""
+        op = _built_operator(n, support)
+        legacy, current = (operator_from_dict(json.loads(json.dumps(doc)))
+                           for doc in (_legacy_operator_to_dict(op), operator_to_dict(op)))
+        assert legacy.A.tobytes() == current.A.tobytes() == op.A.tobytes()
+        for _ in range(3):
+            cov = _random_cov(rng, n)
+            assert convert(legacy, cov).first_col.tobytes() == \
+                convert(current, cov).first_col.tobytes()
 
     @pytest.mark.parametrize("change", _BREAKS.values(), ids=_BREAKS.keys())
     def test_inconsistent_document_rejected(self, small_operator_doc, change):

@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 import apscast.hilbert_space as hilbert_space
-from apscast.array_model import UlaConfig, build_function_set
+from apscast.array_model import build_function_set
 from apscast.bounds_analysis import compute_bounds
 from apscast.conversion import build_conversion_operator, build_gram_system
 from apscast.hilbert_space import (
     AngularFunction,
-    SupportSet,
     Trig,
     clamp_residual_sq,
     inner_product,
@@ -34,6 +33,7 @@ from apscast.hilbert_space import (
     sampling_rule,
 )
 from apscast.numerics import pinv_psd
+from apscast.records import SupportSet, UlaConfig
 
 HALF_PI = math.pi / 2
 C = 3.0e8

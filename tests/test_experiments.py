@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from apscast.array_model import UlaConfig, build_function_set
+from apscast.array_model import build_function_set
 from apscast.bounds_analysis import compute_bounds
 from apscast.conversion import build_gram_system
 from apscast.errors import ContractError, NumericalConsistencyError
@@ -28,13 +28,13 @@ from apscast.experiments import (
 )
 from apscast.hilbert_space import (
     AngularFunction,
-    SupportSet,
     Trig,
     clamp_residual_sq,
     inner_product,
     norm_sq,
 )
 from apscast.numerics import pinv_psd
+from apscast.records import SupportSet, UlaConfig
 
 PI = math.pi
 HALF_PI = math.pi / 2

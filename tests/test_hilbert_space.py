@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from apscast.errors import ContractError, NumericalConsistencyError
 from apscast.hilbert_space import (
-    HALF_PI,
     AngularFunction,
     GridFunction,
-    SupportSet,
     Trig,
     clamp_residual_sq,
     inner_product,
@@ -19,6 +17,7 @@ from apscast.hilbert_space import (
     norm_sq,
 )
 from apscast.numerics import bessel_j0, pinv_psd
+from apscast.records import HALF_PI, SupportSet
 
 PI = math.pi
 
