@@ -8,7 +8,10 @@ it never loads the build (kernel sampling, the SVD, bounds, experiments).
 The operator file is one JSON object.  ``A`` is a string: the base64
 encoding of its row-major, little-endian float64 bytes, 8 (2N)^2 bytes.
 Files written by earlier versions hold ``A`` as nested lists; they still
-load.
+load.  ``records.operator_record`` makes every check on the document, so
+``load_operator`` and the command line's ``convert --operator``, which
+applies the checked record without numpy, accept and reject the same
+files.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ import numpy as np
 
 from .errors import ContractError
 from .records import (
+    OperatorRecord,
     SupportSet,
     UlaConfig,
     config_to_dict,
-    json_array,
-    json_number,
-    load_strict_json,
-    spec_from_dict,
-    support_from_list,
+    diagonal_error,
+    dimension_error,
+    operator_record,
+    read_operator_file,
 )
 
 __all__ = [
@@ -42,7 +45,7 @@ __all__ = [
     "load_operator",
 ]
 
-# Byte order and width of A in the operator file.
+# Byte order and width of A in the operator file, as ``records`` reads it.
 A_DTYPE = np.dtype("<f8")
 
 
@@ -115,10 +118,7 @@ class HermitianToeplitzCov:
         if col.ndim != 1 or col.size < 1:
             raise ContractError("first_col must be a nonempty vector")
         if col[0].imag != 0.0:
-            raise ContractError(
-                "diagonal entry must be real: imag(first_col[0]) = "
-                f"{col[0].imag!r}"
-            )
+            raise diagonal_error(col[0].imag)
         if col.flags.writeable:
             col = col.copy()  # the caller may still write into its own array
             col.setflags(write=False)
@@ -158,11 +158,14 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
     complex first column.  Each entry is the same dot product as in
     ``op.A @ r_u.to_r_vector()``, summed in the same order, so the two agree
     bit for bit.
+
+    ``apscast convert --operator`` computes the same product in plain Python
+    (a cold process cannot afford numpy's import); its output agrees with
+    this one to within rounding, not bit for bit: entry i differs by at most
+    2 gamma_{2N} (|A| |r|)_i, gamma_m = m u / (1 - m u), u = 2^-53.
     """
     if r_u.n != op.n:
-        raise ContractError(
-            f"covariance dimension {r_u.n} does not match operator dimension {op.n}"
-        )
+        raise dimension_error(r_u.n, op.n)
     c = r_u.first_col
     col = np.empty(op.n, dtype=complex)
     np.dot(op._A_interleaved, np.concatenate((c.real, c.imag)), out=col.view(float))
@@ -200,52 +203,23 @@ def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dic
     return doc
 
 
-def _read_A(value, n: int) -> np.ndarray:
-    """``A`` from a document: a base64 string of 8 (2n)^2 bytes, kept as a
-    read-only view of the decoded bytes, or (earlier files) nested lists."""
-    if not isinstance(value, str):
-        A = json_array(value, (2 * n, 2 * n), "A")
-        A.setflags(write=False)  # no other reference: the operator keeps it uncopied
-        return A
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:
-        raise ContractError(f"A is not valid base64: {exc}") from exc
-    size = A_DTYPE.itemsize * (2 * n) ** 2
-    if len(raw) != size:
-        raise ContractError(f"A must decode to {size} bytes for n = {n}, got {len(raw)}")
-    A = np.frombuffer(raw, dtype=A_DTYPE).reshape(2 * n, 2 * n)
-    if not np.all(np.isfinite(A)):
-        raise ContractError("A must be finite")
-    return A
+def _from_record(rec: OperatorRecord) -> ConversionOperator:
+    """The operator of a checked record; ``A`` is a read-only view of the
+    record's bytes."""
+    return ConversionOperator(
+        config=rec.config, support=rec.support,
+        A=np.frombuffer(rec.A, dtype=A_DTYPE).reshape(2 * rec.n, 2 * rec.n),
+        downlink_norms_sq=np.array(rec.downlink_norms_sq), rank=rec.rank, L=rec.L,
+    )
 
 
 def operator_from_dict(doc: dict) -> ConversionOperator:
-    """Build the operator from a document after checking that n, L and rank
-    are integers that agree, that A is a finite (2n, 2n) array (base64 or
-    nested lists) and downlink_norms_sq a list of 2n finite numbers.  Keys
-    other than those ``operator_to_dict`` writes (such as ``G`` and ``Q`` in
-    older files) are ignored."""
-    try:
-        cfg = spec_from_dict(UlaConfig, doc["config"], "config")
-        support = support_from_list(doc.get("support", []), "support")
-        n, L, rank = (json_number(doc[key], int, key) for key in ("n", "L", "rank"))
-        if n != cfg.n_antennas:
-            raise ContractError(
-                f"n = {n} does not match config.n_antennas = {cfg.n_antennas}"
-            )
-        A = _read_A(doc["A"], n)
-        norms = json_array(doc["downlink_norms_sq"], (2 * n,), "downlink_norms_sq")
-    except (KeyError, TypeError) as exc:
-        raise ContractError(f"malformed operator document: {exc}") from exc
-    if L < 2 * n:
-        raise ContractError(f"L must be >= 2n = {2*n}, got {L}")
-    if not 0 <= rank <= L:
-        raise ContractError(f"rank must be in 0..L = 0..{L}, got {rank}")
-    return ConversionOperator(
-        config=cfg, support=support, A=A,
-        downlink_norms_sq=norms, rank=rank, L=L,
-    )
+    """Build the operator from a document after the checks of
+    ``records.operator_record``: n, L and rank are integers that agree, A is
+    a finite (2n, 2n) array (base64 or nested lists) and downlink_norms_sq
+    a list of 2n finite numbers.  Keys other than those ``operator_to_dict``
+    writes (such as ``G`` and ``Q`` in older files) are ignored."""
+    return _from_record(operator_record(doc))
 
 
 def export_operator(path: str, op: ConversionOperator, G: np.ndarray | None = None) -> None:
@@ -259,8 +233,6 @@ def export_operator(path: str, op: ConversionOperator, G: np.ndarray | None = No
 
 
 def load_operator(path: str) -> ConversionOperator:
-    doc = load_strict_json(path, "operator file")
-    try:
-        return operator_from_dict(doc)
-    except ContractError as exc:
-        raise ContractError(f"operator file {path}: {exc}") from exc
+    """The operator of the file ``path``; every failure is a ContractError
+    that names the file.  ``A`` is a read-only view of the decoded bytes."""
+    return _from_record(read_operator_file(path))

@@ -19,28 +19,33 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .apply import HermitianToeplitzCov, convert, export_operator, load_operator
 from .errors import ContractError, NumericalConsistencyError
 from .records import (
     SupportSet,
     UlaConfig,
     config_to_dict,
-    json_array,
+    diagonal_error,
+    dimension_error,
+    float64_values,
+    json_floats,
     json_number,
     json_object,
     load_strict_json,
+    read_operator_file,
     spec_from_dict,
     support_from_list,
 )
 
-# Only the apply layer loads with this module, so ``convert --operator``
-# never imports the build (array_model, hilbert_space, numerics, conversion,
-# bounds_analysis) or experiments; the handlers that need them import them.
+# Only ``records`` loads with this module, and it imports no numpy, so
+# ``convert --operator`` never imports numpy, the apply layer, the build
+# (array_model, hilbert_space, numerics, conversion, bounds_analysis) or
+# experiments; the handlers that need them import them.
 if TYPE_CHECKING:
     from .apply import ConversionOperator
     from .experiments import ApsModel
@@ -134,30 +139,53 @@ def _out_path(args: argparse.Namespace, default_name: str) -> str:
     return out
 
 
-def _read_covariance(path: str) -> HermitianToeplitzCov:
+def _read_covariance(path: str) -> tuple[list[float], list[float]]:
+    """The real and imaginary parts of the first column in the covariance
+    file ``path``, after checking that they are ``n >= 1`` finite numbers
+    each and that the diagonal entry is real."""
     doc = json_object(load_strict_json(path, "covariance file"),
                       {"n", "first_col_re", "first_col_im"}, f"covariance file {path}")
     try:
         n = json_number(doc["n"], int, f"covariance file {path}: n")
-        re, im = (json_array(doc[key], (n,), f"covariance file {path}: {key}")
+        if n < 1:
+            raise ContractError(f"covariance file {path}: n must be >= 1, got {n}")
+        re, im = (json_floats(doc[key], (n,), f"covariance file {path}: {key}")
                   for key in ("first_col_re", "first_col_im"))
     except KeyError as exc:
         raise ContractError(f"malformed covariance file {path}: {exc}") from exc
-    return HermitianToeplitzCov(re + 1j * im)
+    if im[0] != 0.0:
+        raise diagonal_error(im[0])
+    return re, im
 
 
-def _write_covariance(path: str, cov: HermitianToeplitzCov) -> None:
-    doc = {
-        "n": cov.n,
-        "first_col_re": cov.first_col.real.tolist(),
-        "first_col_im": cov.first_col.imag.tolist(),
-    }
+def _write_covariance(path: str, re: list[float], im: list[float]) -> None:
+    doc = {"n": len(re), "first_col_re": re, "first_col_im": im}
     try:
         text = json.dumps(doc, allow_nan=False)
     except ValueError as exc:
         raise NumericalConsistencyError(f"converted covariance is not finite: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _convert_with_file(path: str, re: list[float],
+                       im: list[float]) -> tuple[list[float], list[float]]:
+    """``apply.convert`` with the operator file ``path``, in plain Python.
+
+    A cold process would spend most of its time importing numpy for one
+    2N x 2N product, so each output entry is a Python sum over a row of
+    ``A``.  It agrees with ``apply.convert`` to within rounding (see there),
+    not bit for bit, and makes the same checks."""
+    rec = read_operator_file(path)
+    n = len(re)
+    if n != rec.n:
+        raise dimension_error(n, rec.n)
+    r, m = re + im, 2 * n
+    rows = memoryview(float64_values(rec.A))
+    out = [sum(map(operator.mul, rows[i:i + m], r)) for i in range(0, m * m, m)]
+    if out[n] != 0.0:
+        raise diagonal_error(out[n])
+    return out[:n], out[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +269,24 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             if getattr(args, option) is not None:
                 raise ContractError(f"--{option} cannot be used with --operator: "
                                     "the operator file fixes the array and the support")
-    cov = _read_covariance(args.input)
+    re, im = _read_covariance(args.input)
     if args.operator:
-        op = load_operator(args.operator)
+        re, im = _convert_with_file(args.operator, re, im)
     else:
+        from .apply import HermitianToeplitzCov, convert
+
         op = _build_operator(_load_config(args))
-    out = convert(op, cov)
+        col = convert(op, HermitianToeplitzCov(list(map(complex, re, im)))).first_col
+        re, im = col.real.tolist(), col.imag.tolist()
     path = _out_path(args, "converted.json")
-    _write_covariance(path, out)
+    _write_covariance(path, re, im)
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_export_operator(args: argparse.Namespace) -> int:
+    from .apply import export_operator
+
     op = _build_operator(_load_config(args))
     path = _out_path(args, "operator.json")
     export_operator(path, op)

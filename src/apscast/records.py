@@ -3,23 +3,34 @@
 ``SupportSet`` and ``UlaConfig`` describe what an operator was built for;
 the readers and writers below give every configuration record one format:
 config files, the config part of ``_meta.json``, the operator file's
-``config`` and ``support``, and the bound report's hash payload.  This
-module imports nothing of the package but ``errors``, so applying a stored
-operator never loads the build.
+``config`` and ``support``, and the bound report's hash payload.
+``operator_record`` checks a whole operator document and returns plain
+values, for the library's ``operator_from_dict`` and for the command line,
+which converts with them.
+
+This module imports nothing of the package but ``errors``, so applying a
+stored operator never loads the build.  It imports numpy only inside the
+functions that return arrays (``SupportSet.contains`` and
+``UlaConfig.omegas``), so reading and applying an operator file need the
+standard library alone.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
+import sys
 import typing
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence
 
 from .errors import ContractError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HALF_PI",
@@ -27,11 +38,17 @@ __all__ = [
     "UlaConfig",
     "json_object",
     "json_number",
-    "json_array",
+    "json_floats",
     "spec_from_dict",
     "support_from_list",
     "config_to_dict",
     "load_strict_json",
+    "OperatorRecord",
+    "operator_record",
+    "read_operator_file",
+    "float64_values",
+    "dimension_error",
+    "diagonal_error",
 ]
 
 HALF_PI = math.pi / 2.0
@@ -96,6 +113,8 @@ class SupportSet:
 
     def contains(self, theta: np.ndarray) -> np.ndarray:
         """Boolean membership mask, elementwise over ``theta``."""
+        import numpy as np
+
         theta = np.asarray(theta, dtype=float)
         inside = np.zeros(theta.shape, dtype=bool)
         for a, b in self.intervals:
@@ -156,6 +175,8 @@ class UlaConfig:
 
     def omegas(self, side: str) -> np.ndarray:
         """Kernel frequencies 2 pi (f d / c) (k - 1), k = 1..N."""
+        import numpy as np
+
         s = self.spacing_up if side == "uplink" else self.spacing_down
         return TWO_PI * s * np.arange(self.n_antennas, dtype=float)
 
@@ -197,10 +218,10 @@ def json_number(value, kind: type, where: str) -> int | float:
     return value
 
 
-def json_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """``value``, nested lists of ``shape``, as a float array.  Every entry
-    must be a JSON number as ``json.load`` gives it (an int or a float; not
-    a bool, a string or null) and finite."""
+def json_floats(value, shape: tuple[int, ...], where: str) -> list[float]:
+    """``value``, nested lists of ``shape``, as a flat row-major list of
+    floats.  Every entry must be a JSON number as ``json.load`` gives it (an
+    int or a float; not a bool, a string or null) and finite."""
     entries = [value]
     for size in shape:
         if not all(isinstance(x, list) and len(x) == size for x in entries):
@@ -210,12 +231,12 @@ def json_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
         bad = next(x for x in entries if type(x) not in (int, float))
         raise ContractError(f"{where} must hold numbers only, got {bad!r}")
     try:
-        arr = np.array(entries, dtype=float).reshape(shape)
+        floats = list(map(float, entries))
     except OverflowError:  # an integer literal beyond the float range
-        arr = np.full(shape, math.inf)
-    if not np.all(np.isfinite(arr)):
+        floats = [math.inf]
+    if not all(map(math.isfinite, floats)):
         raise ContractError(f"{where} must be finite")
-    return arr
+    return floats
 
 
 def spec_from_dict(cls, doc, where: str, base=None):
@@ -283,3 +304,109 @@ def load_strict_json(path: str, what: str):
         raise ContractError(f"{what} {path} is nested too deeply to read") from exc
     except ContractError as exc:
         raise ContractError(f"{what} {path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Operator documents
+# ---------------------------------------------------------------------------
+
+
+def dimension_error(cov_n: int, op_n: int) -> ContractError:
+    """The error for a covariance of dimension ``cov_n`` given to an operator
+    for ``op_n`` antennas."""
+    return ContractError(
+        f"covariance dimension {cov_n} does not match operator dimension {op_n}"
+    )
+
+
+def diagonal_error(imag0: float) -> ContractError:
+    """The error for a first column whose diagonal entry has the imaginary
+    part ``imag0`` (not 0)."""
+    return ContractError(
+        f"diagonal entry must be real: imag(first_col[0]) = {float(imag0)!r}"
+    )
+
+
+def _byteswap_if_big_endian(values: array) -> array:
+    """``values``, its items byte-swapped in place on a big-endian host.
+    Swapping is its own inverse, so this turns native values into
+    little-endian storage and little-endian storage into native values."""
+    if sys.byteorder != "little":
+        values.byteswap()
+    return values
+
+
+def float64_values(raw: bytes) -> array:
+    """Little-endian float64 bytes as an ``array('d')`` of their values."""
+    return _byteswap_if_big_endian(array("d", raw))
+
+
+@dataclass(frozen=True)
+class OperatorRecord:
+    """An operator document after every check of ``operator_record``.
+
+    ``A`` is the 2n x 2n operator as row-major, little-endian float64 bytes,
+    8 (2n)^2 of them, whichever form the document held it in.
+    """
+
+    n: int
+    L: int
+    rank: int
+    config: UlaConfig
+    support: SupportSet | None
+    A: bytes
+    downlink_norms_sq: list[float]
+
+
+def _read_A(value, n: int) -> bytes:
+    """``A`` from a document: a base64 string of 8 (2n)^2 bytes, or (earlier
+    files) nested lists, as little-endian float64 bytes."""
+    if not isinstance(value, str):
+        values = array("d", json_floats(value, (2 * n, 2 * n), "A"))
+        return _byteswap_if_big_endian(values).tobytes()
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:
+        raise ContractError(f"A is not valid base64: {exc}") from exc
+    size = 8 * (2 * n) ** 2
+    if len(raw) != size:
+        raise ContractError(f"A must decode to {size} bytes for n = {n}, got {len(raw)}")
+    if not all(map(math.isfinite, float64_values(raw))):
+        raise ContractError("A must be finite")
+    return raw
+
+
+def operator_record(doc) -> OperatorRecord:
+    """Check an operator document: n, L and rank are integers that agree, A
+    is a finite (2n, 2n) array (base64 or nested lists) and
+    downlink_norms_sq a list of 2n finite numbers.  Keys other than those
+    the operator file holds (such as ``G`` and ``Q`` in older files) are
+    ignored."""
+    try:
+        cfg = spec_from_dict(UlaConfig, doc["config"], "config")
+        support = support_from_list(doc.get("support", []), "support")
+        n, L, rank = (json_number(doc[key], int, key) for key in ("n", "L", "rank"))
+        if n != cfg.n_antennas:
+            raise ContractError(
+                f"n = {n} does not match config.n_antennas = {cfg.n_antennas}"
+            )
+        A = _read_A(doc["A"], n)
+        norms = json_floats(doc["downlink_norms_sq"], (2 * n,), "downlink_norms_sq")
+    except (KeyError, TypeError) as exc:
+        raise ContractError(f"malformed operator document: {exc}") from exc
+    if L < 2 * n:
+        raise ContractError(f"L must be >= 2n = {2*n}, got {L}")
+    if not 0 <= rank <= L:
+        raise ContractError(f"rank must be in 0..L = 0..{L}, got {rank}")
+    return OperatorRecord(n=n, L=L, rank=rank, config=cfg, support=support,
+                          A=A, downlink_norms_sq=norms)
+
+
+def read_operator_file(path: str) -> OperatorRecord:
+    """The checked record of the operator file ``path``; every failure is a
+    ContractError that names the file."""
+    doc = load_strict_json(path, "operator file")
+    try:
+        return operator_record(doc)
+    except ContractError as exc:
+        raise ContractError(f"operator file {path}: {exc}") from exc

@@ -41,6 +41,16 @@ def recip_config_file(tmp_path):
     return str(path)
 
 
+def _export_operator(tmp_path, n: int) -> str:
+    """Path of the operator file ``export-operator`` writes for an
+    n-antenna array with equal uplink and downlink frequencies."""
+    config = tmp_path / f"op_config_{n}.json"
+    config.write_text(json.dumps({"array": {"n_antennas": n, "f_down": 1.8e9}}))
+    path = tmp_path / f"op_{n}.json"
+    assert main(["export-operator", "--config", str(config), "-o", str(path)]) == 0
+    return str(path)
+
+
 EVERY_KEY = {
     "array": {"n_antennas": 6, "spacing": 0.09, "f_up": 1.8e9, "f_down": 1.95e9,
               "wave_speed": 3.0e8},
@@ -273,7 +283,7 @@ class TestColdImport:
     def test_convert_with_operator_loads_only_the_apply_layer(self, tmp_path,
                                                               small_config_file):
         """Neither ``import apscast.cli`` nor a whole ``convert --operator``
-        run imports the build modules or the experiments."""
+        run imports numpy, the build modules or the experiments."""
         op_path, inp = tmp_path / "op.json", tmp_path / "cov.json"
         assert main(["export-operator", "--config", small_config_file,
                      "-o", str(op_path)]) == 0
@@ -281,14 +291,15 @@ class TestColdImport:
                                    "first_col_im": [0.0, 0.25, 0.0, 0.0]}))
         code = ("import json, sys\n"
                 "import apscast.cli\n"
-                f"build = {BUILD_MODULES!r}\n"
-                "loaded = [m for m in build if m in sys.modules]\n"
+                f"unwanted = {BUILD_MODULES + ('numpy',)!r}\n"
+                "loaded = [m for m in unwanted if m in sys.modules]\n"
                 "op, inp, out = sys.argv[1:]\n"
                 "code = apscast.cli.main(['convert', '--operator', op, '--input', inp,"
                 " '-o', out])\n"
-                "print(json.dumps([loaded, [m for m in build if m in sys.modules], code]))")
+                "print(json.dumps([loaded, [m for m in unwanted if m in sys.modules], code]))")
         got = _fresh_python(code, str(op_path), str(inp), str(tmp_path / "out.json"))
         assert json.loads(got.splitlines()[-1]) == [[], [], 0]
+        assert json.loads((tmp_path / "out.json").read_text())["n"] == 4
 
     def test_cli_import_leaves_experiments_unloaded(self):
         """``convert --operator`` needs neither the figure experiments nor
@@ -362,13 +373,17 @@ class TestErrorPaths:
         assert main(["bounds", "--config", small_config_file,
                      "-o", str(tmp_path), "--support", "0.0"]) == 1
 
-    def test_complex_diagonal_rejected(self, tmp_path, recip_config_file):
+    def test_complex_diagonal_rejected(self, tmp_path, recip_config_file, capsys):
         inp = tmp_path / "cov.json"
         inp.write_text(json.dumps({
             "n": 2, "first_col_re": [1.0, 0.0], "first_col_im": [0.5, 0.0],
         }))
-        assert main(["convert", "--config", recip_config_file,
-                     "--input", str(inp), "-o", str(tmp_path)]) == 1
+        for source in (["--config", recip_config_file],
+                       ["--operator", _export_operator(tmp_path, 2)]):
+            capsys.readouterr()
+            assert main(["convert", *source,
+                         "--input", str(inp), "-o", str(tmp_path)]) == 1
+            assert "diagonal entry must be real" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", [
         "NaN", "1e400", '"1.5"', "true", "false",
@@ -381,24 +396,53 @@ class TestErrorPaths:
         inp.write_text('{"n": 2, "first_col_re": [1.0, %s], '
                        '"first_col_im": [0.0, 0.0]}' % token, encoding="latin-1")
         out = tmp_path / "out.json"
-        assert main(["convert", "--config", recip_config_file,
-                     "--input", str(inp), "-o", str(out)]) == 1
-        assert str(inp) in capsys.readouterr().err
-        assert not out.exists()
+        for source in (["--config", recip_config_file],
+                       ["--operator", _export_operator(tmp_path, 2)]):
+            capsys.readouterr()
+            assert main(["convert", *source,
+                         "--input", str(inp), "-o", str(out)]) == 1
+            assert str(inp) in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("n_value, n", [(2.9, 2), (True, 1)], ids=["fractional", "boolean"])
     def test_non_integer_covariance_n_exits_1(self, tmp_path, capsys, n_value, n):
-        """``n`` is read as a JSON integer; with a config of the dimension
-        ``int(n)`` gives, these files used to convert."""
+        """``n`` is read as a JSON integer; with a config or an operator of
+        the dimension ``int(n)`` gives, these files used to convert."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"array": {"n_antennas": n}}))
         inp = tmp_path / "cov.json"
         inp.write_text(json.dumps({"n": n_value, "first_col_re": [1.0] + [0.0] * (n - 1),
                                    "first_col_im": [0.0] * n}))
         out = tmp_path / "out.json"
-        assert main(["convert", "--config", str(config),
+        for source in (["--config", str(config)],
+                       ["--operator", _export_operator(tmp_path, n)]):
+            capsys.readouterr()
+            assert main(["convert", *source,
+                         "--input", str(inp), "-o", str(out)]) == 1
+            assert f"{inp}: n must be" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_empty_covariance_exits_1(self, tmp_path, recip_config_file, capsys):
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 0, "first_col_re": [], "first_col_im": []}))
+        out = tmp_path / "out.json"
+        for source in (["--config", recip_config_file],
+                       ["--operator", _export_operator(tmp_path, 4)]):
+            capsys.readouterr()
+            assert main(["convert", *source,
+                         "--input", str(inp), "-o", str(out)]) == 1
+            assert f"{inp}: n must be >= 1, got 0" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_operator_dimension_mismatch_exits_1(self, tmp_path, capsys):
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 2, "first_col_re": [1.0, 0.5],
+                                   "first_col_im": [0.0, 0.25]}))
+        out = tmp_path / "out.json"
+        assert main(["convert", "--operator", _export_operator(tmp_path, 4),
                      "--input", str(inp), "-o", str(out)]) == 1
-        assert f"{inp}: n must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "covariance dimension 2 does not match operator dimension 4" in err
         assert not out.exists()
 
     def test_integral_float_covariance_n_converts(self, tmp_path, recip_config_file):

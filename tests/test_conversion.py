@@ -16,6 +16,7 @@ from apscast.apply import (
     operator_to_dict,
 )
 from apscast.array_model import build_function_set
+from apscast.cli import main
 from apscast.conversion import build_conversion_operator, build_gram_system, estimate_aps
 from apscast.errors import ContractError
 from apscast.experiments import (
@@ -414,6 +415,18 @@ class TestOperatorSerialization:
         with pytest.raises(ContractError):
             operator_from_dict(doc | change(doc))
 
+    @pytest.mark.parametrize("change", _BREAKS.values(), ids=_BREAKS.keys())
+    def test_inconsistent_document_rejected_by_command_line(self, tmp_path, capsys,
+                                                             small_operator_doc, change):
+        """``convert --operator`` makes the library's checks without numpy:
+        each broken document exits 1 with an error naming the file, and
+        nothing is written."""
+        doc = small_operator_doc
+        code, got = _cli_convert(tmp_path, doc | change(doc), [1.0, 0.5, 0.25j, 0.0])
+        assert code == 1 and got is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "op.json") in err
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_token_in_file_rejected(self, tmp_path, small_operator_doc, token):
         text = json.dumps(small_operator_doc).replace('"A": [[', f'"A": [[{token}, ', 1)
@@ -429,3 +442,79 @@ class TestOperatorSerialization:
         with pytest.raises(ValueError):
             export_operator(str(path), bad)
         assert not path.exists()
+
+
+def _cli_convert(tmp_path, doc, first_col):
+    """Exit code and [Re; Im] output of ``apscast convert --operator`` run
+    on the operator document ``doc`` and a covariance file holding
+    ``first_col``; the output is None when no file was written."""
+    op_path, inp, out = (tmp_path / name for name in ("op.json", "cov.json", "out.json"))
+    op_path.write_text(json.dumps(doc))
+    col = np.asarray(first_col, dtype=complex)
+    inp.write_text(json.dumps({"n": col.size, "first_col_re": col.real.tolist(),
+                               "first_col_im": col.imag.tolist()}))
+    if out.exists():
+        out.unlink()
+    code = main(["convert", "--operator", str(op_path), "--input", str(inp),
+                 "-o", str(out)])
+    if not out.exists():
+        return code, None
+    got = json.loads(out.read_text())
+    assert got["n"] == col.size
+    return code, np.array(got["first_col_re"] + got["first_col_im"])
+
+
+class TestCommandLineProduct:
+    """``convert --operator`` multiplies by ``A`` in plain Python, summing
+    each row in its own order; ``convert`` calls BLAS."""
+
+    # An N=2 operator document whose A is written out in base64.
+    LITERAL = {
+        "n": 2, "L": 4, "rank": 4,
+        "A": "AAAAAAAA+D8AAAAAAAAAwAAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAAAPA/"
+             "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+             "AAAAAAAAAAAAAAAAAAAQQAAAAAAAAAAAAAAAAAAA8L8=",
+        "config": dataclasses.asdict(UlaConfig.reference(2)),
+        "support": [],
+        "downlink_norms_sq": [1.0, 1.0, 1.0, 1.0],
+    }
+
+    @pytest.mark.parametrize("form", ["base64", "lists"])
+    @pytest.mark.parametrize("support", _SUPPORTS)
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_agrees_with_library_within_rounding(self, tmp_path, rng, n, support, form):
+        """Each of two dot products of length 2N is within gamma_{2N} (|A| |r|)_i
+        of the exact one, so the two outputs differ by at most twice that."""
+        op = _built_operator(n, support)
+        doc = operator_to_dict(op) if form == "base64" else _legacy_operator_to_dict(op)
+        u = 2.0 ** -53
+        gamma = 2 * n * u / (1 - 2 * n * u)
+        for _ in range(3):
+            cov = _random_cov(rng, n)
+            code, got = _cli_convert(tmp_path, doc, cov.first_col)
+            assert code == 0
+            want = convert(op, cov).to_r_vector()
+            bound = 2 * gamma * (np.abs(op.A) @ np.abs(cov.to_r_vector()))
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_non_real_diagonal_output_exits_1(self, tmp_path, capsys):
+        """Row N of A gives Im c_0 of the output; a nonzero one is rejected
+        by both paths, and the command line writes nothing."""
+        doc = self.LITERAL | {"A": [[1.0, 0.0, 0.0, 0.0]] * 4}
+        code, got = _cli_convert(tmp_path, doc, [2.0, 1.0])
+        assert code == 1 and got is None
+        assert "diagonal entry must be real: imag(first_col[0]) = 2.0" in capsys.readouterr().err
+        with pytest.raises(ContractError, match="diagonal entry must be real"):
+            convert(operator_from_dict(doc), HermitianToeplitzCov(np.array([2.0, 1.0])))
+
+    def test_reads_a_as_little_endian(self, tmp_path):
+        """A literal operator: A = [[1.5, -2, 0, 0.25], [0.5, 1, 0, 0],
+        [0, 0, 0, 0], [0, 4, 0, -1]], base64 of its little-endian bytes.  Every
+        product is exact, so both paths must give A @ r to the bit."""
+        doc = self.LITERAL
+        col = [2.0, 1.0 + 0.5j]
+        code, got = _cli_convert(tmp_path, doc, col)
+        assert code == 0
+        assert got.tolist() == [1.125, 2.0, 0.0, 3.5]
+        lib = convert(operator_from_dict(doc), HermitianToeplitzCov(np.array(col)))
+        assert lib.to_r_vector().tolist() == got.tolist()
