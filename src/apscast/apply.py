@@ -1,17 +1,19 @@
 """Applying a stored conversion operator: the operator record, the
 Hermitian Toeplitz covariance, ``convert`` and the operator file.
 
-This is everything a process needs to convert covariances with an operator
-built earlier; it imports only ``records`` and ``errors`` of the package, so
-it never loads the build (kernel sampling, the SVD, bounds, experiments).
+This is everything a library process needs to convert covariances with an
+operator built earlier; it imports only ``documents``, ``records`` and
+``errors`` of the package, so it never loads the build (kernel sampling,
+the SVD, bounds, experiments).
 
 The operator file is one JSON object.  ``A`` is a string: the base64
 encoding of its row-major, little-endian float64 bytes, 8 (2N)^2 bytes.
 Files written by earlier versions hold ``A`` as nested lists; they still
-load.  ``records.operator_record`` makes every check on the document, so
-``load_operator`` and the command line's ``convert --operator``, which
-applies the checked record without numpy, accept and reject the same
-files.
+load.  ``documents.operator_record`` makes every check on the document,
+``config`` and ``support`` included, and returns plain values, which
+``load_operator`` turns into the records and arrays here.  The command
+line's ``convert --operator`` applies the same checked values without this
+module, so both accept and reject the same files with the same messages.
 """
 
 from __future__ import annotations
@@ -23,17 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
-from .records import (
+from .documents import (
     OperatorRecord,
-    SupportSet,
-    UlaConfig,
-    config_to_dict,
     diagonal_error,
     dimension_error,
     operator_record,
     read_operator_file,
 )
+from .errors import ContractError
+from .records import SupportSet, UlaConfig, config_to_dict
 
 __all__ = [
     "ConversionOperator",
@@ -45,7 +45,7 @@ __all__ = [
     "load_operator",
 ]
 
-# Byte order and width of A in the operator file, as ``records`` reads it.
+# Byte order and width of A in the operator file, as ``documents`` reads it.
 A_DTYPE = np.dtype("<f8")
 
 
@@ -204,10 +204,11 @@ def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dic
 
 
 def _from_record(rec: OperatorRecord) -> ConversionOperator:
-    """The operator of a checked record; ``A`` is a read-only view of the
-    record's bytes."""
+    """The operator of a checked record, its config and support built from
+    the checked values; ``A`` is a read-only view of the record's bytes."""
     return ConversionOperator(
-        config=rec.config, support=rec.support,
+        config=UlaConfig(**rec.config),
+        support=None if rec.support is None else SupportSet(rec.support),
         A=np.frombuffer(rec.A, dtype=A_DTYPE).reshape(2 * rec.n, 2 * rec.n),
         downlink_norms_sq=np.array(rec.downlink_norms_sq), rank=rec.rank, L=rec.L,
     )
@@ -215,10 +216,11 @@ def _from_record(rec: OperatorRecord) -> ConversionOperator:
 
 def operator_from_dict(doc: dict) -> ConversionOperator:
     """Build the operator from a document after the checks of
-    ``records.operator_record``: n, L and rank are integers that agree, A is
-    a finite (2n, 2n) array (base64 or nested lists) and downlink_norms_sq
-    a list of 2n finite numbers.  Keys other than those ``operator_to_dict``
-    writes (such as ``G`` and ``Q`` in older files) are ignored."""
+    ``documents.operator_record``: config and support are valid sections,
+    n, L and rank are integers that agree, A is a finite (2n, 2n) array
+    (base64 or nested lists) and downlink_norms_sq a list of 2n finite
+    numbers.  Keys other than those ``operator_to_dict`` writes (such as
+    ``G`` and ``Q`` in older files) are ignored."""
     return _from_record(operator_record(doc))
 
 

@@ -1,0 +1,193 @@
+"""The subcommands that build an operator: ``bounds``, ``fig1``-``fig3``,
+``export-operator`` and the config side of ``convert``.
+
+``cli`` imports this module on the first use of one of them (and for
+``cli.RunConfig``), so a ``convert --operator`` process never compiles it.
+The handlers import the build inside their bodies.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import os
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+from .cli import _out_path
+from .documents import json_number, json_object, load_strict_json
+from .errors import ContractError
+from .records import SupportSet, UlaConfig, config_to_dict, spec_from_dict, support_from_list
+
+if TYPE_CHECKING:
+    from .apply import ConversionOperator
+    from .experiments import ApsModel
+    from .numerics import PinvSpec, QuadratureSpec
+
+__all__ = ["RunConfig", "HANDLERS"]
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's configuration; its fields are the config file's keys."""
+
+    array: UlaConfig
+    support: SupportSet | None
+    B: float
+    quad: QuadratureSpec
+    pinv: PinvSpec
+    aps: ApsModel
+    grid_points: int
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RunConfig":
+        """Read a config document; every key is optional and checked."""
+        from .experiments import ApsModel, ApsPeak, two_path_model
+        from .numerics import PinvSpec, QuadratureSpec
+
+        json_object(doc, {f.name for f in dataclasses.fields(cls)}, "config")
+        B = json_number(doc.get("B", 1.0), float, "config.B")
+        if B <= 0.0:
+            raise ContractError(f"config.B must be positive, got {B}")
+        grid_points = json_number(doc.get("grid_points", 1024), int, "config.grid_points")
+        if grid_points < 3:
+            raise ContractError("config.grid_points must be >= 3")
+        quad = spec_from_dict(QuadratureSpec, doc.get("quad", {}), "config.quad",
+                              QuadratureSpec())
+        aps_doc = json_object(doc.get("aps", {}), {"peaks", "normalization"}, "config.aps")
+        peaks = two_path_model().peaks
+        if "peaks" in aps_doc:
+            if not isinstance(aps_doc["peaks"], list):
+                raise ContractError("config.aps.peaks must be a list of peak objects")
+            peaks = tuple(spec_from_dict(ApsPeak, p, f"config.aps.peaks[{i}]")
+                          for i, p in enumerate(aps_doc["peaks"]))
+        return cls(
+            array=spec_from_dict(UlaConfig, doc.get("array", {}), "config.array",
+                                 UlaConfig.reference()),
+            support=support_from_list(doc.get("support", []), "config.support"),
+            B=B,
+            quad=quad,
+            pinv=spec_from_dict(PinvSpec, doc.get("pinv", {}), "config.pinv", PinvSpec()),
+            aps=ApsModel(peaks=peaks, quad=quad,
+                         normalization=aps_doc.get("normalization", "unit_norm")),
+            grid_points=grid_points,
+        )
+
+    def to_dict(self) -> dict:
+        """The config document ``from_dict`` reads back to this config."""
+        return config_to_dict(
+            self.array, self.support, B=self.B, quad=self.quad, pinv=self.pinv,
+            aps={"peaks": [dataclasses.asdict(p) for p in self.aps.peaks],
+                 "normalization": self.aps.normalization},
+            grid_points=self.grid_points,
+        )
+
+
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    doc = load_strict_json(args.config, "config file") if args.config else {}
+    cfg = RunConfig.from_dict(doc)
+    if getattr(args, "support", None):
+        vals = args.support
+        if len(vals) % 2 != 0:
+            raise ContractError("--support takes an even number of values (a b pairs)")
+        pairs = [[vals[i], vals[i + 1]] for i in range(0, len(vals), 2)]
+        cfg = dataclasses.replace(cfg, support=SupportSet(pairs))
+    return cfg
+
+
+def _build_operator(cfg: RunConfig) -> ConversionOperator:
+    from .array_model import build_function_set
+    from .conversion import build_conversion_operator, build_gram_system
+
+    fs = build_function_set(cfg.array, cfg.support)
+    return build_conversion_operator(build_gram_system(fs, cfg.pinv))
+
+
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .array_model import build_function_set
+    from .bounds_analysis import compute_bounds, write_bounds_csv
+    from .conversion import build_gram_system
+    from .experiments import write_metadata
+
+    cfg = _load_config(args)
+    fs = build_function_set(cfg.array, cfg.support)
+    gs = build_gram_system(fs, cfg.pinv)
+    report = compute_bounds(gs, cfg.B)
+    path = _out_path(args, "bounds.csv")
+    write_bounds_csv(path, report)
+    meta = cfg.to_dict() | {"gram_rank": gs.rank, "L": gs.L,
+                            "config_hash": report.config_hash}
+    write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
+    print(f"wrote {path} ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
+    return 0
+
+
+def _cmd_fig1(args: argparse.Namespace) -> int:
+    from .experiments import run_fig1, write_fig1_csv, write_metadata
+
+    cfg = _load_config(args)
+    result = run_fig1(cfg.array, cfg.support, cfg.B, cfg.pinv)
+    path = _out_path(args, "fig1.csv")
+    write_fig1_csv(path, result)
+    meta = cfg.to_dict() | {
+        "gram_rank_no_si": result.report_no_si.rank,
+        "gram_rank_si": result.report_si.rank,
+    }
+    write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_fig2(args: argparse.Namespace) -> int:
+    from .experiments import run_fig2, write_fig2_csv, write_metadata
+
+    cfg = _load_config(args)
+    result = run_fig2(cfg.array, cfg.support, cfg.aps, cfg.B, cfg.quad, cfg.pinv)
+    path = _out_path(args, "fig2.csv")
+    write_fig2_csv(path, result)
+    meta = cfg.to_dict() | {
+        "max_err_no_si": float(result.errors_no_si.max()),
+        "max_err_si": float(result.errors_si.max()),
+        "leakage_norm": result.leakage_norm,
+    }
+    write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
+    print(f"wrote {path} (max err {result.errors_no_si.max():.3e} -> "
+          f"{result.errors_si.max():.3e} with support information)")
+    return 0
+
+
+def _cmd_fig3(args: argparse.Namespace) -> int:
+    from .experiments import run_fig3, write_fig3_csv, write_metadata
+
+    cfg = _load_config(args)
+    result = run_fig3(cfg.array, cfg.support, cfg.aps, cfg.grid_points,
+                      cfg.quad, cfg.pinv)
+    path = _out_path(args, "fig3.csv")
+    write_fig3_csv(path, result)
+    meta = cfg.to_dict() | {
+        "max_constraint_error_no_si": float(result.constraint_errors_no_si.max()),
+        "max_constraint_error_si": float(result.constraint_errors_si.max()),
+    }
+    write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_export_operator(args: argparse.Namespace) -> int:
+    from .apply import export_operator
+
+    op = _build_operator(_load_config(args))
+    path = _out_path(args, "operator.json")
+    export_operator(path, op)
+    print(f"wrote {path} (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})")
+    return 0
+
+
+# Subcommand name -> handler; ``cli`` handles ``convert`` itself.
+HANDLERS = {
+    "bounds": _cmd_bounds,
+    "fig1": _cmd_fig1,
+    "fig2": _cmd_fig2,
+    "fig3": _cmd_fig3,
+    "export-operator": _cmd_export_operator,
+}

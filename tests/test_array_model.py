@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from apscast.array_model import build_function_set, steering_vector
+from apscast.documents import ARRAY_DEFAULTS, ARRAY_FIELDS
 from apscast.errors import ContractError
 from apscast.hilbert_space import Trig, inner_product, norm_sq
 from apscast.numerics import bessel_j0
@@ -23,6 +26,16 @@ class TestUlaConfig:
             UlaConfig(n_antennas=0, spacing=0.1, f_up=1e9, f_down=1e9)
         with pytest.raises(ContractError):
             UlaConfig(n_antennas=2, spacing=-0.1, f_up=1e9, f_down=1e9)
+
+    def test_document_field_table_matches_declaration(self):
+        """Operator documents read the array section from a field table
+        beside ``UlaConfig``; it names the same fields, in order, with the
+        same kinds and defaults."""
+        fields = dataclasses.fields(UlaConfig)
+        assert ARRAY_FIELDS == typing.get_type_hints(UlaConfig)
+        assert list(ARRAY_FIELDS) == [f.name for f in fields]
+        assert ARRAY_DEFAULTS == {f.name: f.default for f in fields
+                                  if f.default is not dataclasses.MISSING}
 
 
 class TestBuildFunctionSet:

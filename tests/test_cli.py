@@ -313,6 +313,43 @@ class TestColdImport:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
+    def test_convert_with_operator_loads_only_the_document_reader(self, tmp_path):
+        """Beyond what a bare interpreter loads, a whole ``convert --operator``
+        process loads ``apscast``, ``cli``, ``errors`` and ``documents`` of the
+        package and none of numpy, ``dataclasses``, ``inspect``, ``typing``,
+        the apply layer, the records, the build or the handler module."""
+        op_path, inp = _export_operator(tmp_path, 4), tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 4, "first_col_re": [1.0, 0.5, 0.0, 0.0],
+                                   "first_col_im": [0.0, 0.25, 0.0, 0.0]}))
+        bare = set(_fresh_python("import sys; print(*sys.modules, sep='\\n')").split())
+        code = ("import sys\n"
+                "from apscast.cli import main\n"
+                "op, inp, out = sys.argv[1:]\n"
+                "code = main(['convert', '--operator', op, '--input', inp, '-o', out])\n"
+                "print(code, *sys.modules, sep='\\n')")
+        wrote, exit_code, *modules = _fresh_python(
+            code, op_path, str(inp), str(tmp_path / "out.json")).splitlines()
+        assert wrote.startswith("wrote ") and exit_code == "0"
+        loaded = set(modules) - bare
+        unwanted = {"dataclasses", "inspect", "typing", "numpy", "apscast.apply",
+                    "apscast.records", "apscast.commands", *BUILD_MODULES}
+        assert loaded & unwanted == set()
+        assert {m for m in loaded if m.split(".")[0] == "apscast"} == {
+            "apscast", "apscast.cli", "apscast.documents", "apscast.errors"}
+        assert json.loads((tmp_path / "out.json").read_text())["n"] == 4
+
+    def test_run_config_resolves_on_first_use(self):
+        """``apscast.cli.RunConfig`` is the handler module's class, which
+        ``import apscast.cli`` does not load."""
+        code = ("import sys, apscast.cli; "
+                "before = 'apscast.commands' in sys.modules; "
+                "from apscast.cli import RunConfig; "
+                "print(before, RunConfig.__module__)")
+        assert _fresh_python(code) == "False apscast.commands"
+        assert RunConfig.__module__ == "apscast.commands"
+        with pytest.raises(AttributeError):
+            apscast.cli.no_such_name
+
     def test_every_public_name_resolves(self):
         for name in apscast.__all__:
             assert getattr(apscast, name) is not None, name
@@ -367,6 +404,57 @@ class TestErrorPaths:
                      "-o", str(out), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and (option or str(op_path)) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, default_name", [
+        pytest.param("convert --operator", "converted.json", id="convert-operator"),
+        pytest.param("convert --config", "converted.json", id="convert-config"),
+        pytest.param("bounds", "bounds.csv", id="bounds"),
+        pytest.param("fig1", "fig1.csv", id="fig1"),
+        pytest.param("export-operator", "operator.json", id="export-operator"),
+    ])
+    @pytest.mark.parametrize("output", ["blocker/x.json", "blocker/sub", "taken"],
+                             ids=["file-under-a-file", "directory-under-a-file",
+                                  "output-file-is-a-directory"])
+    def test_unwritable_output_path_exits_1(self, tmp_path, capsys, small_config_file,
+                                            command, default_name, output):
+        """An output path under an existing file cannot be created, and an
+        output file that is a directory cannot be opened: exit 1 with one
+        ``error:`` line that names the path, and nothing is written."""
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 4, "first_col_re": [1.0, 0.5, 0.0, 0.0],
+                                   "first_col_im": [0.0, 0.25, 0.0, 0.0]}))
+        args = {
+            "convert --operator": ["convert", "--operator", _export_operator(tmp_path, 4),
+                                   "--input", str(inp)],
+            "convert --config": ["convert", "--config", small_config_file,
+                                 "--input", str(inp)],
+        }.get(command, [command, "--config", small_config_file])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        (tmp_path / "taken" / default_name).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        out = tmp_path / output
+        assert main([*args, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("source", ["config-file", "--support"])
+    def test_reversed_support_interval_exits_1(self, tmp_path, capsys, source):
+        """A support interval with a > b is named as reversed, not as lying
+        outside [-pi/2, pi/2]."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"array": {"n_antennas": 4},
+                                      "support": [[0.5, 0.2]] if source == "config-file" else []}))
+        extra = ["--support", "0.5", "0.2"] if source == "--support" else []
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(config), "-o", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "interval [0.5, 0.2] is reversed: its start exceeds its end" in err
         assert not out.exists()
 
     def test_odd_support_values_exit_1(self, tmp_path, small_config_file):

@@ -335,6 +335,28 @@ _BREAKS = {
     "A-base64-inf": lambda d: {"A": _b64([[-math.inf] + d["A"][0][1:]] + d["A"][1:])},
     "A-number": lambda d: {"A": 1.5},
     "A-null": lambda d: {"A": None},
+    "config-unknown-key": lambda d: {"config": d["config"] | {"n_elements": 4}},
+    "config-missing-f_down": lambda d: {"config": {k: v for k, v in d["config"].items()
+                                                   if k != "f_down"}},
+    "config-spacing-zero": lambda d: {"config": d["config"] | {"spacing": 0.0}},
+    "config-spacing-negative": lambda d: {"config": d["config"] | {"spacing": -0.1}},
+    "config-string": lambda d: {"config": d["config"] | {"f_up": "1.8e9"}},
+    "support-outside": lambda d: {"support": [[0.0, 2.0]]},
+    "support-overlapping": lambda d: {"support": [[0.0, 0.5], [0.4, 1.0]]},
+    "support-three-element-pair": lambda d: {"support": [[0.0, 0.5, 1.0]]},
+    "support-reversed": lambda d: {"support": [[0.5, 0.2]]},
+}
+
+# The message of each config and support break, as the records give it.
+_SECTION_MESSAGES = {
+    "config-unknown-key": "unknown keys in config: ['n_elements']",
+    "config-missing-f_down": "config is missing ['f_down']",
+    "config-spacing-zero": "spacing must be positive and finite, got 0.0",
+    "config-string": "config.f_up must be a number, got '1.8e9'",
+    "support-outside": "interval [0.0, 2.0] is not inside [-pi/2, pi/2]",
+    "support-overlapping": "support intervals must be pairwise disjoint",
+    "support-three-element-pair": "support must be a list of [a, b] pairs",
+    "support-reversed": "interval [0.5, 0.2] is reversed: its start exceeds its end",
 }
 
 
@@ -419,13 +441,29 @@ class TestOperatorSerialization:
     def test_inconsistent_document_rejected_by_command_line(self, tmp_path, capsys,
                                                              small_operator_doc, change):
         """``convert --operator`` makes the library's checks without numpy:
-        each broken document exits 1 with an error naming the file, and
-        nothing is written."""
+        each broken document exits 1 with the error ``load_operator`` raises
+        for the same file, which names the file, and nothing is written."""
         doc = small_operator_doc
         code, got = _cli_convert(tmp_path, doc | change(doc), [1.0, 0.5, 0.25j, 0.0])
         assert code == 1 and got is None
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(tmp_path / "op.json") in err
+        op_path = str(tmp_path / "op.json")
+        with pytest.raises(ContractError) as library:
+            load_operator(op_path)
+        assert op_path in str(library.value)
+        assert capsys.readouterr().err == f"error: {library.value}\n"
+
+    @pytest.mark.parametrize("change, message", _SECTION_MESSAGES.items(),
+                             ids=_SECTION_MESSAGES.keys())
+    def test_config_and_support_messages(self, tmp_path, small_operator_doc, change,
+                                         message):
+        """The config and support checks give the messages of the records
+        they describe, after the file name."""
+        doc = small_operator_doc
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(doc | _BREAKS[change](doc)))
+        with pytest.raises(ContractError) as exc:
+            load_operator(str(path))
+        assert str(exc.value) == f"operator file {path}: {message}"
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_token_in_file_rejected(self, tmp_path, small_operator_doc, token):

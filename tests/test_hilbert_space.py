@@ -37,6 +37,10 @@ class TestSupportSet:
         with pytest.raises(ContractError):
             SupportSet([[0.0, 0.5], [0.4, 0.6]])  # overlapping
 
+    def test_reversed_interval_has_its_own_message(self):
+        with pytest.raises(ContractError, match=r"^interval \[0\.5, 0\.2\] is reversed"):
+            SupportSet([[0.5, 0.2]])
+
     def test_complement_of_right_half(self):
         c = SupportSet([[0.0, HALF_PI]]).complement()
         assert c.intervals == ((-HALF_PI, 0.0),)
