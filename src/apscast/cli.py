@@ -10,8 +10,8 @@ Subcommands:
 
 Configuration is a strict JSON document; unknown keys and values of the
 wrong kind are rejected.  All numeric defaults mirror the reference
-30-antenna array.  Exit codes: 0 success, 1 validation/contract error or
-an output path that cannot be written, 2 numerical-consistency error.
+30-antenna array.  Exit codes: 0 success, 1 usage/validation/contract error
+or an output path that cannot be written, 2 numerical-consistency error.
 
 This module holds the parser, ``main`` and ``convert``; the subcommands
 that build an operator, ``convert --config`` and ``RunConfig`` live in
@@ -137,8 +137,17 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as other validation errors do (argparse's 2 is
+    kept for numerical-consistency errors); subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apscast",
         description="Uplink-downlink covariance conversion with certified "
                     "per-entry error bounds.",

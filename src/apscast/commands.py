@@ -22,7 +22,7 @@ from .records import SupportSet, UlaConfig, config_to_dict, spec_from_dict, supp
 if TYPE_CHECKING:
     from .apply import ConversionOperator
     from .experiments import ApsModel
-    from .numerics import PinvSpec, QuadratureSpec
+    from .numerics import PinvSpec
 
 __all__ = ["RunConfig", "HANDLERS"]
 
@@ -34,7 +34,6 @@ class RunConfig:
     array: UlaConfig
     support: SupportSet | None
     B: float
-    quad: QuadratureSpec
     pinv: PinvSpec
     aps: ApsModel
     grid_points: int
@@ -43,7 +42,7 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Read a config document; every key is optional and checked."""
         from .experiments import ApsModel, ApsPeak, two_path_model
-        from .numerics import PinvSpec, QuadratureSpec
+        from .numerics import PinvSpec
 
         json_object(doc, {f.name for f in dataclasses.fields(cls)}, "config")
         B = json_number(doc.get("B", 1.0), float, "config.B")
@@ -52,8 +51,6 @@ class RunConfig:
         grid_points = json_number(doc.get("grid_points", 1024), int, "config.grid_points")
         if grid_points < 3:
             raise ContractError("config.grid_points must be >= 3")
-        quad = spec_from_dict(QuadratureSpec, doc.get("quad", {}), "config.quad",
-                              QuadratureSpec())
         aps_doc = json_object(doc.get("aps", {}), {"peaks", "normalization"}, "config.aps")
         peaks = two_path_model().peaks
         if "peaks" in aps_doc:
@@ -66,17 +63,15 @@ class RunConfig:
                                  UlaConfig.reference()),
             support=support_from_list(doc.get("support", []), "config.support"),
             B=B,
-            quad=quad,
             pinv=spec_from_dict(PinvSpec, doc.get("pinv", {}), "config.pinv", PinvSpec()),
-            aps=ApsModel(peaks=peaks, quad=quad,
-                         normalization=aps_doc.get("normalization", "unit_norm")),
+            aps=ApsModel(peaks=peaks, normalization=aps_doc.get("normalization", "unit_norm")),
             grid_points=grid_points,
         )
 
     def to_dict(self) -> dict:
         """The config document ``from_dict`` reads back to this config."""
         return config_to_dict(
-            self.array, self.support, B=self.B, quad=self.quad, pinv=self.pinv,
+            self.array, self.support, B=self.B, pinv=self.pinv,
             aps={"peaks": [dataclasses.asdict(p) for p in self.aps.peaks],
                  "normalization": self.aps.normalization},
             grid_points=self.grid_points,
@@ -86,12 +81,12 @@ class RunConfig:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     doc = load_strict_json(args.config, "config file") if args.config else {}
     cfg = RunConfig.from_dict(doc)
-    if getattr(args, "support", None):
+    if args.support is not None:  # an empty --support means no support information
         vals = args.support
         if len(vals) % 2 != 0:
             raise ContractError("--support takes an even number of values (a b pairs)")
         pairs = [[vals[i], vals[i + 1]] for i in range(0, len(vals), 2)]
-        cfg = dataclasses.replace(cfg, support=SupportSet(pairs))
+        cfg = dataclasses.replace(cfg, support=SupportSet(pairs) if pairs else None)
     return cfg
 
 
@@ -142,7 +137,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     from .experiments import run_fig2, write_fig2_csv, write_metadata
 
     cfg = _load_config(args)
-    result = run_fig2(cfg.array, cfg.support, cfg.aps, cfg.B, cfg.quad, cfg.pinv)
+    result = run_fig2(cfg.array, cfg.support, cfg.aps, cfg.B, cfg.pinv)
     path = _out_path(args, "fig2.csv")
     write_fig2_csv(path, result)
     meta = cfg.to_dict() | {
@@ -160,8 +155,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     from .experiments import run_fig3, write_fig3_csv, write_metadata
 
     cfg = _load_config(args)
-    result = run_fig3(cfg.array, cfg.support, cfg.aps, cfg.grid_points,
-                      cfg.quad, cfg.pinv)
+    result = run_fig3(cfg.array, cfg.support, cfg.aps, cfg.grid_points, cfg.pinv)
     path = _out_path(args, "fig3.csv")
     write_fig3_csv(path, result)
     meta = cfg.to_dict() | {

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +29,8 @@ from .conversion import (
     estimate_aps,
 )
 from .errors import ContractError, NumericalConsistencyError
-from .hilbert_space import AngularFunction, GridFunction
-from .numerics import PinvSpec, QuadratureSpec, integrate
+from .hilbert_space import AngularFunction, GridFunction, sample, sampling_rule
+from .numerics import PinvSpec
 from .records import HALF_PI, SupportSet, UlaConfig
 
 __all__ = [
@@ -75,13 +76,13 @@ class ApsModel:
 
     evaluate(theta) = n * sum_j w_j exp(-|theta - c_j| / s_j), zeroed outside
     ``support`` when one is given.  With unit_norm the constant n is computed
-    numerically so that the L2 norm over [-pi/2, pi/2] is 1.
+    numerically so that the L2 norm over [-pi/2, pi/2] is 1.  Every integral
+    of the spectrum is taken on ``rule``.
     """
 
     peaks: tuple[ApsPeak, ...]
     normalization: str = "unit_norm"      # "unit_norm" | "raw"
     support: SupportSet | None = None
-    quad: QuadratureSpec = field(default=QuadratureSpec())
 
     def __post_init__(self) -> None:
         if self.normalization not in ("unit_norm", "raw"):
@@ -107,16 +108,30 @@ class ApsModel:
             pts.extend(self.support.boundary_points())
         return sorted({p for p in pts if -HALF_PI < p < HALF_PI})
 
+    def rule(self, funcs: Sequence[AngularFunction] = (),
+             cuts: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+        """``sampling_rule`` for products of the spectrum with ``funcs``, cut
+        at the breakpoints, at ``cuts`` and at distances ``scale * 2**k`` from
+        each peak's center.  Between two such cuts a peak falls by a factor
+        ``e**(2**k)`` from at most ``e**-(2**k)`` of its height, which the
+        rule's 30 nodes per piece resolve at any scale."""
+        graded = [p.center + side * p.scale * 2.0 ** k
+                  for p in self.peaks for side in (-1.0, 1.0)
+                  for k in range(max(0, math.ceil(math.log2(math.pi / p.scale))))]
+        return sampling_rule(funcs, [*self.breakpoints(), *graded, *cuts])
+
+    def _integral_sq(self, values, cuts: Sequence[float] = ()) -> float:
+        """The integral of ``values**2`` over [-pi/2, pi/2] on ``rule``."""
+        nodes, weights = self.rule(cuts=cuts)
+        return float(weights @ (values(nodes) ** 2 + values(-nodes) ** 2))
+
     def _compute_norm_constant(self) -> float:
         if self.normalization == "raw":
             return 1.0
-        res = integrate(
-            lambda t: self._raw_values(t) ** 2,
-            -HALF_PI, HALF_PI, self.quad, breakpoints=self.breakpoints(),
-        )
-        if res.value <= 0.0:
+        total = self._integral_sq(self._raw_values)
+        if total <= 0.0:
             raise ContractError("cannot unit-normalize an almost-everywhere-zero spectrum")
-        return 1.0 / math.sqrt(res.value)
+        return 1.0 / math.sqrt(total)
 
     @property
     def norm_constant(self) -> float:
@@ -127,23 +142,14 @@ class ApsModel:
 
     def norm(self) -> float:
         """L2 norm of the (normalized) spectrum."""
-        res = integrate(
-            lambda t: self.evaluate(t) ** 2,
-            -HALF_PI, HALF_PI, self.quad, breakpoints=self.breakpoints(),
-        )
-        return math.sqrt(max(0.0, res.value))
+        return math.sqrt(self._integral_sq(self.evaluate))
 
     def norm_outside(self, c_s: SupportSet) -> float:
         """L2 norm of the spectrum restricted to the complement of c_s
         (the support-assumption leakage)."""
-        total = 0.0
-        for a, b in c_s.complement().intervals:
-            res = integrate(
-                lambda t: self.evaluate(t) ** 2, a, b, self.quad,
-                breakpoints=self.breakpoints(),
-            )
-            total += res.value
-        return math.sqrt(max(0.0, total))
+        return math.sqrt(self._integral_sq(
+            lambda t: np.where(c_s.contains(t), 0.0, self.evaluate(t)),
+            c_s.boundary_points()))
 
 
 def two_path_model() -> ApsModel:
@@ -180,41 +186,21 @@ def random_aps_model(
 # ---------------------------------------------------------------------------
 
 
-def synthesize_r_vector(
-    aps: ApsModel,
-    funcs: Sequence[AngularFunction],
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
-    """Inner products of the spectrum with each (unmasked) kernel."""
-    brk = aps.breakpoints()
-    pieces = aps.support.intervals if aps.support is not None else \
-        ((-HALF_PI, HALF_PI),)
-    out = np.zeros(len(funcs))
-    for k, g in enumerate(funcs):
-        if g.is_zero():
-            continue
-        acc = 0.0
-        for a, b in pieces:
-            res = integrate(
-                lambda t: aps.evaluate(t) * g.kernel_values(t),
-                a, b, quad, breakpoints=brk,
-            )
-            acc += res.value
-        out[k] = acc
-    return out
+def synthesize_r_vector(aps: ApsModel, funcs: Sequence[AngularFunction]) -> np.ndarray:
+    """Inner products of the spectrum with each kernel: one product of the
+    sampled kernels with the spectrum's even/odd samples on ``aps.rule``."""
+    nodes, weights = aps.rule(funcs)
+    plus, minus = aps.evaluate(nodes), aps.evaluate(-nodes)
+    rho = np.sqrt(0.5 * np.tile(weights, 2)) * np.concatenate([plus + minus, plus - minus])
+    return sample(funcs, nodes, weights).T @ rho
 
 
-def synthesize_covariance(
-    aps: ApsModel,
-    fs: FunctionSet,
-    side: str = "uplink",
-    quad: QuadratureSpec = QuadratureSpec(),
-):
+def synthesize_covariance(aps: ApsModel, fs: FunctionSet, side: str = "uplink"):
     """Hermitian Toeplitz covariance of the given side for this spectrum."""
     if side not in ("uplink", "downlink"):
         raise ContractError(f"side must be 'uplink' or 'downlink', got {side!r}")
     funcs = fs.uplink if side == "uplink" else fs.downlink
-    r = synthesize_r_vector(aps, funcs, quad)
+    r = synthesize_r_vector(aps, funcs)
     return HermitianToeplitzCov.from_r_vector(r)
 
 
@@ -277,6 +263,30 @@ def _piecewise_nodes_weights(
     return pieces
 
 
+def _live_values(f: AngularFunction, nodes: np.ndarray, mid: float) -> np.ndarray:
+    """``f`` on one grid piece: its kernel, or 0 when the piece lies in its
+    zero set."""
+    if f.mask is not None and bool(f.mask.contains(np.array([mid]))[0]):
+        return np.zeros(nodes.size)
+    return f.kernel_values(nodes)
+
+
+@lru_cache(maxsize=1)
+def _oracle_range(basis: tuple[AngularFunction, ...], boundaries: tuple[float, ...],
+                  spec: OracleSpec, rel_cutoff: float):
+    """The grid pieces and the kept left singular vectors U_k of the
+    sqrt(w)-weighted basis samples; cached, as checks call the oracle once
+    per downlink slot with one basis."""
+    pieces = _piecewise_nodes_weights(spec, boundaries)
+    weighted = np.concatenate([
+        np.sqrt(w)[:, None] * np.column_stack([_live_values(f, nodes, mid) for f in basis])
+        for nodes, w, mid in pieces])
+    U, s, _ = np.linalg.svd(weighted, full_matrices=False)
+    U_k = U[:, : int(np.count_nonzero(s**2 > rel_cutoff * s[0] ** 2))]
+    U_k.setflags(write=False)
+    return pieces, U_k
+
+
 def oracle_residual(
     y: AngularFunction,
     basis: Sequence[AngularFunction],
@@ -286,41 +296,19 @@ def oracle_residual(
     """Brute-force projection residual ||y - P_span(y)|| on a grid.
 
     Discretizes everything on per-piece uniform grids with Gregory-corrected
-    trapezoid weights (see ``OracleSpec``), solves the weighted normal
-    equations with a truncated pseudo-inverse, and evaluates the residual
-    norm explicitly.  Shares no nodes or code with the engine's sampled
+    trapezoid weights (see ``OracleSpec``), takes the SVD of the
+    sqrt(w)-weighted basis samples, keeps the directions with
+    ``s**2 > pinv.rel_cutoff * s_0**2`` and returns the norm of the weighted
+    ``y`` samples minus their projection onto them: least squares, which
+    unlike normal equations keeps small directions.  Shares no nodes or code with the engine's sampled
     Gauss-Legendre SVD or the closed-form kernel/Bessel path it checks.
     """
-    boundaries: list[float] = []
-    for f in (*basis, y):
-        if f.mask is not None:
-            boundaries.extend(f.mask.boundary_points())
-    pieces = _piecewise_nodes_weights(spec, boundaries)
-
-    nb = len(basis)
-    Gn = np.zeros((nb, nb))
-    z = np.zeros(nb)
-    cache = []
-    for nodes, w, mid in pieces:
-        cols = np.zeros((nodes.size, nb))
-        for j, f in enumerate(basis):
-            if f.mask is not None and bool(f.mask.contains(np.array([mid]))[0]):
-                continue  # piece inside this function's zero set
-            cols[:, j] = f.kernel_values(nodes)
-        yv = np.zeros(nodes.size)
-        if not (y.mask is not None and bool(y.mask.contains(np.array([mid]))[0])):
-            yv = y.kernel_values(nodes)
-        Gn += cols.T @ (cols * w[:, None])
-        z += cols.T @ (w * yv)
-        cache.append((cols, yv, w))
-
-    Gi = np.linalg.pinv(Gn, rcond=pinv.rel_cutoff, hermitian=True)
-    alpha = Gi @ z
-    rsq = 0.0
-    for cols, yv, w in cache:
-        r = yv - cols @ alpha
-        rsq += float(np.dot(w, r * r))
-    return math.sqrt(max(0.0, rsq))
+    boundaries = sorted({p for f in (*basis, y) if f.mask is not None
+                         for p in f.mask.boundary_points()})
+    pieces, U_k = _oracle_range(tuple(basis), tuple(boundaries), spec, pinv.rel_cutoff)
+    y_bar = np.concatenate([np.sqrt(w) * _live_values(y, nodes, mid)
+                            for nodes, w, mid in pieces])
+    return float(np.linalg.norm(y_bar - U_k @ (U_k.T @ y_bar)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +370,6 @@ def run_fig2(
     c_s: SupportSet | None,
     aps: ApsModel | None = None,
     B: float = 1.0,
-    quad: QuadratureSpec = QuadratureSpec(),
     pinv: PinvSpec = PinvSpec(),
 ) -> Fig2Result:
     """Realized per-entry conversion errors against the certified bounds.
@@ -395,8 +382,8 @@ def run_fig2(
     gs_no, gs_si = _gram_systems(cfg, c_s, pinv)
     fs = gs_si.function_set
 
-    r_u = synthesize_r_vector(aps, fs.uplink, quad)
-    r_d = synthesize_r_vector(aps, fs.downlink, quad)
+    r_u = synthesize_r_vector(aps, fs.uplink)
+    r_d = synthesize_r_vector(aps, fs.downlink)
     op_no = build_conversion_operator(gs_no)
     op_si = build_conversion_operator(gs_si)
     errors_no = np.abs(op_no.A @ r_u - r_d)
@@ -417,7 +404,6 @@ def run_fig3(
     c_s: SupportSet | None,
     aps: ApsModel | None = None,
     grid_points: int = 1024,
-    quad: QuadratureSpec = QuadratureSpec(),
     pinv: PinvSpec = PinvSpec(),
 ) -> Fig3Result:
     """Spectrum estimates on a uniform grid plus constraint-satisfaction data."""
@@ -425,7 +411,7 @@ def run_fig3(
     gs_no, gs_si = _gram_systems(cfg, c_s, pinv)
     fs = gs_si.function_set
 
-    r_u = synthesize_r_vector(aps, fs.uplink, quad)
+    r_u = synthesize_r_vector(aps, fs.uplink)
     est_no = estimate_aps(gs_no, r_u)
     est_si = estimate_aps(gs_si, r_u)
 

@@ -244,18 +244,20 @@ def mask(f: AngularFunction, c_s: SupportSet) -> AngularFunction:
 # the closed form.
 
 
-def sampling_rule(funcs: Sequence[AngularFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes in (0, pi/2) and weights for products of any two of ``funcs``.
+def sampling_rule(funcs: Sequence[AngularFunction],
+                  breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, pi/2) and weights for products of any two of ``funcs``
+    and of functions smooth between ``breakpoints``.
 
-    Pieces are split at every mask edge (mirrored into (0, pi/2)), so each
-    masked kernel is smooth on each piece.  A piece of length h gets
-    ``ceil(0.55 * omega_max * h) + 30`` nodes, omega_max being the largest
-    kernel frequency; that keeps sampled Gram entries within ~1e-13 of the
-    closed forms.
+    Pieces are split at every mask edge and breakpoint (mirrored into
+    (0, pi/2)), so each masked kernel is smooth on each piece.  A piece of
+    length h gets ``ceil(0.55 * omega_max * h) + 30`` nodes, omega_max
+    being the largest kernel frequency; that keeps sampled Gram entries
+    within ~1e-13 of the closed forms.
     """
     omega_max = max((f.omega for f in funcs), default=0.0)
     cuts = {abs(p) for f in funcs if f.mask is not None
-            for p in f.mask.boundary_points()}
+            for p in f.mask.boundary_points()} | {abs(p) for p in breakpoints}
     edges = sorted({0.0, HALF_PI} | {p for p in cuts if 0.0 < p < HALF_PI})
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):

@@ -56,8 +56,6 @@ EVERY_KEY = {
               "wave_speed": 3.0e8},
     "support": [[-0.5, 0.25], [0.5, HALF_PI]],
     "B": 2.5,
-    "quad": {"panel_order": 16, "abs_tol": 1e-11, "rel_tol": 1e-10,
-             "max_subdivisions": 12},
     "pinv": {"rel_cutoff": 1e-7},
     "aps": {"peaks": [{"center": 0.3, "scale": 0.1, "weight": 2.0}],
             "normalization": "raw"},
@@ -81,8 +79,8 @@ class TestRunConfig:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ContractError):
             RunConfig.from_dict({"array": {"antennas": 4}})
-        with pytest.raises(ContractError):
-            RunConfig.from_dict({"quad": {"order": 8}})
+        with pytest.raises(ContractError, match="quad"):
+            RunConfig.from_dict({"quad": {"panel_order": 16}})
 
     def test_support_shape_validated(self):
         with pytest.raises(ContractError):
@@ -92,12 +90,10 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({
             "array": {"n_antennas": 6},
             "pinv": {"rel_cutoff": 1e-7},
-            "quad": {"panel_order": 16},
             "B": 2.5,
         })
         assert cfg.array.n_antennas == 6
         assert cfg.pinv.rel_cutoff == 1e-7
-        assert cfg.quad.panel_order == 16
         assert cfg.B == 2.5
 
     def test_integral_float_reads_as_int(self):
@@ -118,6 +114,17 @@ class TestRunConfig:
 
 
 class TestCommands:
+    def test_empty_support_flag_means_no_support(self, tmp_path, capsys):
+        """``--support`` with no values overrides the config's support with
+        none, as ``"support": []`` does."""
+        config = tmp_path / "si.json"
+        config.write_text(json.dumps({"support": [[0.0, HALF_PI]]}))
+        for extra, rank in (([], "74/120"), (["--support"], "59/60")):
+            out = tmp_path / f"out{len(extra)}"
+            assert main(["bounds", "--config", str(config), *extra, "-o", str(out)]) == 0
+            assert f"Gram rank {rank}" in capsys.readouterr().out
+        assert json.loads((out / "bounds_meta.json").read_text())["support"] == []
+
     def test_bounds_with_defaults_only(self, tmp_path):
         """No config file at all: the reference 30-antenna array is used."""
         out = tmp_path / "default"
@@ -358,6 +365,26 @@ class TestColdImport:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv, message", [
+        (["convert"], "the following arguments are required: --input"),
+        ([], "the following arguments are required: command"),
+        (["bounds", "--bogus"], "unrecognized arguments: --bogus"),
+        (["fig1", "--support", "x"], "invalid float value: 'x'"),
+    ], ids=["missing-input", "missing-command", "unknown-option", "bad-float"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        """Usage errors exit 1 with argparse's message; 2 stays reserved for
+        numerical-consistency errors."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", "--help"])
+        assert exc.value.code == 0
+        assert "--operator" in capsys.readouterr().out
+
     def test_malformed_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -558,7 +585,7 @@ class TestErrorPaths:
         ('{"B": "abc"}', "config.B"),
         ('{"B": null}', "config.B"),
         ('{"B": 1e400}', "config.B"),
-        ('{"quad": {"panel_order": "x"}}', "config.quad.panel_order"),
+        ('{"quad": {"panel_order": 32}}', "quad"),  # synthesis takes no settings
         ('{"pinv": {"rel_cutoff": "1e-5"}}', "config.pinv.rel_cutoff"),
         ('{"array": []}', "config.array"),
         ('{"aps": {"peaks": [{"center": 0.5, "weight": 1.0}]}}', "scale"),
@@ -568,7 +595,7 @@ class TestErrorPaths:
         ('{"B": "caf\xe9"}', "is not UTF-8"),  # one byte 0xe9 in latin-1
         ("[" * 10**5 + "]" * 10**5, "nested too deeply"),
     ], ids=["fractional-int", "string-int", "string-float", "null-float",
-            "overflowing-float", "string-quad", "string-pinv", "array-not-object",
+            "overflowing-float", "removed-quad", "string-pinv", "array-not-object",
             "peak-without-scale", "string-support", "list-config",
             "overflowing-int", "not-utf8", "deep-nesting"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, text, key):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from apscast import hilbert_space
 from apscast.array_model import build_function_set
 from apscast.bounds_analysis import compute_bounds
 from apscast.conversion import build_gram_system
@@ -33,7 +34,7 @@ from apscast.hilbert_space import (
     inner_product,
     norm_sq,
 )
-from apscast.numerics import pinv_psd
+from apscast.numerics import PinvSpec, gauss_legendre, integrate, pinv_psd
 from apscast.records import SupportSet, UlaConfig
 
 PI = math.pi
@@ -119,6 +120,60 @@ class TestSynthesis:
             synthesize_covariance(two_path_model(), fs, "sideways")
 
 
+def _synthesis(n: int) -> list[tuple[np.ndarray, float, float]]:
+    """(r over the 4N uplink and downlink kernels, norm constant, leakage
+    outside [0, pi/2]) for a two-path, a 1e-3-wide and a two-interval model."""
+    fs = build_function_set(UlaConfig.reference(n))
+    funcs = fs.uplink + fs.downlink
+    models = (
+        two_path_model(),
+        ApsModel(peaks=(ApsPeak(0.3, 1e-3, 1.0), ApsPeak(-0.7, 0.05, 0.5))),
+        ApsModel(peaks=(ApsPeak(-0.9, 0.1, 1.0), ApsPeak(0.4, 0.03, 2.0)),
+                 support=SupportSet([[-1.2, -0.6], [0.1, 0.9]])),
+    )
+    leak = SupportSet([[0.0, HALF_PI]])
+    return [(synthesize_r_vector(m, funcs), m.norm_constant, m.norm_outside(leak))
+            for m in models]
+
+
+class TestSampledRule:
+    """Synthesis takes every integral on ``ApsModel.rule``."""
+
+    @pytest.mark.parametrize("n", [30, 64, 128])
+    def test_doubling_the_nodes_moves_nothing(self, monkeypatch, n):
+        """Twice the nodes on every piece: r, the norm constant and the
+        leakage move by rounding only."""
+        base = _synthesis(n)
+        monkeypatch.setattr(hilbert_space, "gauss_legendre",
+                            lambda order: gauss_legendre(2 * order))
+        for (r, c, leak), (r2, c2, leak2) in zip(base, _synthesis(n)):
+            assert np.max(np.abs(r - r2)) <= 1e-12
+            assert abs(c - c2) <= 1e-12
+            assert abs(leak - leak2) <= 1e-12
+
+    def test_matches_adaptive_reference(self):
+        """Every fifth kernel and the norms against ``integrate`` on the
+        support intervals, cut at the model's breakpoints."""
+        c_s = SupportSet([[-1.2, -0.6], [0.1, 0.9]])
+        aps = ApsModel(peaks=(ApsPeak(-0.9, 0.1, 1.0), ApsPeak(0.4, 0.03, 2.0)),
+                       support=c_s)
+        fs = build_function_set(UlaConfig.reference(30))
+        funcs = (fs.uplink + fs.downlink)[::5]
+
+        def reference(f, pieces):
+            return sum(integrate(f, a, b, breakpoints=aps.breakpoints()).value
+                       for a, b in pieces)
+
+        want = [reference(lambda t: aps.evaluate(t) * g.kernel_values(t), c_s.intervals)
+                for g in funcs]
+        np.testing.assert_allclose(synthesize_r_vector(aps, funcs), want, rtol=0, atol=1e-12)
+        assert aps.norm() == pytest.approx(1.0, abs=1e-13)
+        leak = SupportSet([[0.0, HALF_PI]])
+        want_leak = math.sqrt(reference(lambda t: aps.evaluate(t) ** 2,
+                                        leak.complement().intervals))
+        assert aps.norm_outside(leak) == pytest.approx(want_leak, rel=1e-12)
+
+
 class TestOracle:
     def test_spec_validation(self):
         with pytest.raises(ContractError):
@@ -156,6 +211,23 @@ class TestOracle:
             if residual > 1e-6:
                 b = oracle_residual(g, gs.basis, OracleSpec(4001), gs.pinv)
                 assert abs(residual - b) <= 1e-5 * residual, idx + 1
+
+    @pytest.mark.parametrize("cutoff", [1e-12, 1e-18])
+    @pytest.mark.parametrize("support", [[[0.0, HALF_PI]], [[-1.2, -0.6], [0.1, 0.9]]],
+                             ids=["one-interval", "two-intervals"])
+    def test_matches_engine_at_small_cutoffs(self, reference_cfg, support, cutoff):
+        """A least-squares oracle keeps the engine's directions where normal
+        equations lose them: no slot disagrees beyond criterion 2's
+        tolerance (1e-6 absolute and 1e-4 relative)."""
+        gs = build_gram_system(build_function_set(reference_cfg, SupportSet(support)),
+                               PinvSpec(cutoff))
+        disagree = []
+        for k, (g, a) in enumerate(zip(gs.function_set.downlink,
+                                       compute_bounds(gs).residuals)):
+            b = oracle_residual(g, gs.basis, OracleSpec(4001), gs.pinv)
+            if abs(a - b) > 1e-6 and abs(a - b) > 1e-4 * max(a, b):
+                disagree.append(k + 1)
+        assert disagree == []
 
     def test_grid_refinement_stability(self, gs_ref_no_si):
         y = AngularFunction(Trig.COSINE, 17.3)
