@@ -31,7 +31,6 @@ _HOME = {
     "integrate": "numerics",
     "pinv_psd": "numerics",
     "AngularFunction": "hilbert_space",
-    "GridFunction": "hilbert_space",
     "Trig": "hilbert_space",
     "inner_product": "hilbert_space",
     "mask": "hilbert_space",

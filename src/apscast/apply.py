@@ -159,10 +159,11 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
     ``op.A @ r_u.to_r_vector()``, summed in the same order, so the two agree
     bit for bit.
 
-    ``apscast convert --operator`` computes the same product in plain Python
-    (a cold process cannot afford numpy's import); its output agrees with
-    this one to within rounding, not bit for bit: entry i differs by at most
-    2 gamma_{2N} (|A| |r|)_i, gamma_m = m u / (1 - m u), u = 2^-53.
+    ``apscast convert`` computes the same product in plain Python, with
+    ``--operator`` and ``--config`` alike (a cold process cannot afford
+    numpy's import); its output agrees with this one to within rounding, not
+    bit for bit: entry i differs by at most 2 gamma_{2N} (|A| |r|)_i,
+    gamma_m = m u / (1 - m u), u = 2^-53.
     """
     if r_u.n != op.n:
         raise dimension_error(r_u.n, op.n)

@@ -13,8 +13,10 @@ wrong kind are rejected.  All numeric defaults mirror the reference
 30-antenna array.  Exit codes: 0 success, 1 usage/validation/contract error
 or an output path that cannot be written, 2 numerical-consistency error.
 
-This module holds the parser, ``main`` and ``convert``; the subcommands
-that build an operator, ``convert --config`` and ``RunConfig`` live in
+This module holds the parser, ``main`` and ``convert``, whose product is
+a plain-Python sum over each row of ``A`` for a stored operator and for
+one built from ``--config`` alike.  The subcommands that build an
+operator, the build of ``convert --config`` and ``RunConfig`` live in
 ``commands``, which loads on first use.  Besides ``errors`` only
 ``documents`` loads with this module, and it needs the standard library
 alone, so a ``convert --operator`` process never imports numpy,
@@ -41,15 +43,7 @@ from .documents import (
 )
 from .errors import ContractError, NumericalConsistencyError
 
-__all__ = ["main", "RunConfig"]
-
-
-def __getattr__(name: str):
-    if name == "RunConfig":
-        from .commands import RunConfig
-
-        return RunConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["main"]
 
 
 def _out_path(args: argparse.Namespace, default_name: str) -> str:
@@ -95,21 +89,20 @@ def _write_covariance(path: str, re: list[float], im: list[float]) -> None:
         fh.write(text + "\n")
 
 
-def _convert_with_file(path: str, re: list[float],
-                       im: list[float]) -> tuple[list[float], list[float]]:
-    """``apply.convert`` with the operator file ``path``, in plain Python.
+def _convert(A, op_n: int, re: list[float],
+             im: list[float]) -> tuple[list[float], list[float]]:
+    """``apply.convert`` in plain Python, for the operator of ``op_n``
+    antennas whose ``A`` holds the row-major values (a sequence of floats).
 
     A cold process would spend most of its time importing numpy for one
     2N x 2N product, so each output entry is a Python sum over a row of
     ``A``.  It agrees with ``apply.convert`` to within rounding (see there),
     not bit for bit, and makes the same checks."""
-    rec = read_operator_file(path)
     n = len(re)
-    if n != rec.n:
-        raise dimension_error(n, rec.n)
+    if n != op_n:
+        raise dimension_error(n, op_n)
     r, m = re + im, 2 * n
-    rows = memoryview(float64_values(rec.A))
-    out = [sum(map(operator.mul, rows[i:i + m], r)) for i in range(0, m * m, m)]
+    out = [sum(map(operator.mul, A[i:i + m], r)) for i in range(0, m * m, m)]
     if out[n] != 0.0:
         raise diagonal_error(out[n])
     return out[:n], out[n:]
@@ -123,14 +116,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                                     "the operator file fixes the array and the support")
     re, im = _read_covariance(args.input)
     if args.operator:
-        re, im = _convert_with_file(args.operator, re, im)
+        rec = read_operator_file(args.operator)
+        re, im = _convert(memoryview(float64_values(rec.A)), rec.n, re, im)
     else:
-        from .apply import HermitianToeplitzCov, convert
         from .commands import _build_operator, _load_config
 
         op = _build_operator(_load_config(args))
-        col = convert(op, HermitianToeplitzCov(list(map(complex, re, im)))).first_col
-        re, im = col.real.tolist(), col.imag.tolist()
+        re, im = _convert(op.A.ravel().tolist(), op.n, re, im)
     path = _out_path(args, "converted.json")
     _write_covariance(path, re, im)
     print(f"wrote {path}")

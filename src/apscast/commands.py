@@ -1,8 +1,8 @@
 """The subcommands that build an operator: ``bounds``, ``fig1``-``fig3``,
 ``export-operator`` and the config side of ``convert``.
 
-``cli`` imports this module on the first use of one of them (and for
-``cli.RunConfig``), so a ``convert --operator`` process never compiles it.
+``cli`` imports this module on the first use of one of them, so a
+``convert --operator`` process never compiles it.
 The handlers import the build inside their bodies.
 """
 

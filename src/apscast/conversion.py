@@ -12,8 +12,9 @@ Every quantity comes from one SVD.  The basis and the downlink kernels are
 sampled on one quadrature rule, X (samples x L) and Y (samples x 2N), so
 G = X^T X and Q = X^T Y.  With X = U S V^T truncated to the kept directions,
 A = (Y^T U_k S_k^-1 V_k^T)[:, :2N] and the squared projection residual of
-downlink slot k is ||Y_k - U_k U_k^T Y_k||^2.  Neither passes through G^+,
-so their working condition number is sqrt(cond(G)).
+downlink slot k is ||Y_k - U_k U_k^T Y_k||^2, compared with the squared
+norm ||Y_k||^2 on the same rule.  Neither A nor the residuals pass through
+G^+, so their working condition number is sqrt(cond(G)).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import ContractError
 from .hilbert_space import (
     AngularFunction,
     inner_product_with_status,  # noqa: F401  unused; bench/tracing.py wraps it here
-    kernel_norms_sq,
     norm_sq,  # noqa: F401  unused; bench/tracing.py wraps it here
     sample,
     sampling_rule,
@@ -53,7 +53,7 @@ class GramSystem:
     kept.  ``right_vectors`` is V_k (L x rank), ``downlink_coords`` is
     U_k^T Y (rank x 2N), ``residuals_sq`` the unclamped squared projection
     residuals of the downlink kernels, and ``downlink_norms_sq`` their
-    closed-form squared norms.
+    squared norms, both on the rule that samples X and Y.
     """
 
     function_set: FunctionSet
@@ -112,7 +112,7 @@ def build_gram_system(fs: FunctionSet, pinv: PinvSpec = PinvSpec()) -> GramSyste
         right_vectors=Vt[:rank].T,
         downlink_coords=coords,
         residuals_sq=np.einsum("ij,ij->j", resid, resid),
-        downlink_norms_sq=kernel_norms_sq(fs.downlink),
+        downlink_norms_sq=np.einsum("ij,ij->j", Y, Y),
         pinv=pinv,
     )
 

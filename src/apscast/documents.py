@@ -201,6 +201,10 @@ def load_strict_json(path: str, what: str):
         ) from exc
     except RecursionError as exc:
         raise ContractError(f"{what} {path} is nested too deeply to read") from exc
+    except ValueError as exc:  # raised by int() beyond its digit limit
+        raise ContractError(
+            f"{what} {path} holds an integer literal with too many digits to read"
+        ) from exc
     except ContractError as exc:
         raise ContractError(f"{what} {path}: {exc}") from exc
 

@@ -29,7 +29,7 @@ from .conversion import (
     estimate_aps,
 )
 from .errors import ContractError, NumericalConsistencyError
-from .hilbert_space import AngularFunction, GridFunction, sample, sampling_rule
+from .hilbert_space import AngularFunction, sample, sampling_rule
 from .numerics import PinvSpec
 from .records import HALF_PI, SupportSet, UlaConfig
 
@@ -333,9 +333,9 @@ class Fig2Result:
 @dataclass(frozen=True)
 class Fig3Result:
     theta: np.ndarray
-    rho_true: GridFunction
-    rho_est_no_si: GridFunction
-    rho_est_si: GridFunction
+    rho_true: np.ndarray                  # values at theta
+    rho_est_no_si: np.ndarray
+    rho_est_si: np.ndarray
     constraint_errors_no_si: np.ndarray   # |<rho~, g_u[k]> - r_u[k]|
     constraint_errors_si: np.ndarray
 
@@ -420,9 +420,9 @@ def run_fig3(
     resat_si = gs_si.G @ est_si.coefficients
     return Fig3Result(
         theta=theta,
-        rho_true=GridFunction(theta, aps.evaluate(theta)),
-        rho_est_no_si=GridFunction(theta, est_no.evaluate(theta)),
-        rho_est_si=GridFunction(theta, est_si.evaluate(theta)),
+        rho_true=aps.evaluate(theta),
+        rho_est_no_si=est_no.evaluate(theta),
+        rho_est_si=est_si.evaluate(theta),
         constraint_errors_no_si=np.abs(resat_no[: 2 * fs.n] - r_u),
         constraint_errors_si=np.abs(resat_si[: 2 * fs.n] - r_u),
     )
@@ -460,10 +460,7 @@ def write_fig3_csv(path: str, result: Fig3Result) -> None:
     rows = [
         [repr(float(t)), repr(float(a)), repr(float(b)), repr(float(c))]
         for t, a, b, c in zip(
-            result.theta,
-            result.rho_true.values,
-            result.rho_est_no_si.values,
-            result.rho_est_si.values,
+            result.theta, result.rho_true, result.rho_est_no_si, result.rho_est_si
         )
     ]
     _write_rows(path, ["theta", "rho_true", "rho_est_no_si", "rho_est_si"], rows)

@@ -1,8 +1,8 @@
 """Elements of L2([-pi/2, pi/2]) and their inner-product machinery.
 
 Every function handled by the package is a trigonometric array-manifold
-kernel ``scale * cos(omega * sin(theta))`` or ``scale * sin(omega * sin(theta))``,
-optionally zeroed on a union of closed angle intervals (a support mask).
+kernel ``cos(omega * sin(theta))`` or ``sin(omega * sin(theta))``, optionally
+zeroed on a union of closed angle intervals (a support mask).
 Keeping functions symbolic gives exact Bessel closed forms for unmasked
 inner products and lets the Gram engine sample every kernel on one
 quadrature rule with breaks at the mask edges.
@@ -24,12 +24,10 @@ from .records import HALF_PI, SupportSet
 __all__ = [
     "Trig",
     "AngularFunction",
-    "GridFunction",
     "inner_product",
     "inner_product_with_status",
     "inner_product_quadrature",
     "norm_sq",
-    "kernel_norms_sq",
     "mask",
     "sampling_rule",
     "sample",
@@ -52,7 +50,7 @@ class Trig(enum.Enum):
 
 @dataclass(frozen=True)
 class AngularFunction:
-    """scale * trig(omega * sin(theta)), zeroed on ``mask`` when present.
+    """trig(omega * sin(theta)), zeroed on ``mask`` when present.
 
     ``mask`` is the zero set: the function equals its trig kernel outside the
     mask and 0 on it (the image of the support-information projection).
@@ -62,19 +60,14 @@ class AngularFunction:
     trig: Trig
     omega: float
     mask: SupportSet | None = None
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.omega) or self.omega < 0.0:
             raise ContractError(f"omega must be finite and >= 0, got {self.omega}")
-        if not math.isfinite(self.scale):
-            raise ContractError("scale must be finite")
         if self.mask is not None and self.mask.is_empty():
             object.__setattr__(self, "mask", None)
 
     def is_zero(self) -> bool:
-        if self.scale == 0.0:
-            return True
         if self.trig is Trig.SINE and self.omega == 0.0:
             return True
         return self.mask is not None and self.mask.measure() >= math.pi
@@ -83,37 +76,13 @@ class AngularFunction:
         """Trig kernel without mask handling (used by piecewise integrators)."""
         theta = np.asarray(theta, dtype=float)
         arg = self.omega * np.sin(theta)
-        vals = np.cos(arg) if self.trig is Trig.COSINE else np.sin(arg)
-        return self.scale * vals
+        return np.cos(arg) if self.trig is Trig.COSINE else np.sin(arg)
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         vals = self.kernel_values(theta)
         if self.mask is not None:
             vals = np.where(self.mask.contains(theta), 0.0, vals)
         return vals
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Uniformly sampled function values; plotting/oracle plumbing only."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ContractError("GridFunction needs at least 3 nodes")
-        if values.shape != nodes.shape:
-            raise ContractError("nodes and values must have matching shapes")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def sample(cls, f: AngularFunction, n: int = 1024) -> "GridFunction":
-        nodes = np.linspace(-HALF_PI, HALF_PI, n)
-        return cls(nodes, f.evaluate(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +136,7 @@ def inner_product_with_status(
     if f.is_zero() or g.is_zero():
         return 0.0, True
     if f.mask is None and g.mask is None:
-        return f.scale * g.scale * _full_interval_pair(f, g), True
+        return _full_interval_pair(f, g), True
     return _quadrature_with_status(f, g, quad)
 
 
@@ -199,25 +168,6 @@ def norm_sq(f: AngularFunction, quad: QuadratureSpec = QuadratureSpec()) -> floa
     return inner_product(f, f, quad)
 
 
-def kernel_norms_sq(funcs: Sequence[AngularFunction]) -> np.ndarray:
-    """``[norm_sq(f) for f in funcs]``, bit for bit, with one J0 per distinct
-    frequency: an unmasked kernel has squared norm
-    ``scale * scale * ((pi/2) * (J0(0) +- J0(2 omega)))`` (+ for a cosine,
-    - for a sine), the expression ``norm_sq`` evaluates.  Zero and masked
-    functions go through ``norm_sq``.
-    """
-    omega = np.array([f.omega for f in funcs])
-    scale = np.array([f.scale for f in funcs])
-    sign = np.array([1.0 if f.trig is Trig.COSINE else -1.0 for f in funcs])
-    distinct, index = np.unique(omega, return_inverse=True)
-    j0_2w = np.array([bessel_j0(w + w) for w in distinct])[index]
-    out = scale * scale * ((math.pi / 2.0) * (bessel_j0(0.0) + sign * j0_2w))
-    for k, f in enumerate(funcs):
-        if f.is_zero() or f.mask is not None:
-            out[k] = norm_sq(f)
-    return out
-
-
 def mask(f: AngularFunction, c_s: SupportSet) -> AngularFunction:
     """Support-information projection: zero on ``c_s``, unchanged outside.
 
@@ -228,7 +178,7 @@ def mask(f: AngularFunction, c_s: SupportSet) -> AngularFunction:
         raise ContractError("function is already masked; composed masks are unsupported")
     if c_s.is_empty():
         return f
-    return AngularFunction(trig=f.trig, omega=f.omega, mask=c_s, scale=f.scale)
+    return AngularFunction(trig=f.trig, omega=f.omega, mask=c_s)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +229,6 @@ def sample(funcs: Sequence[AngularFunction], nodes: np.ndarray,
     plus = np.outer(np.sin(nodes), [f.omega for f in funcs])
     np.cos(plus, out=plus, where=cosine)
     np.sin(plus, out=plus, where=~cosine)
-    plus *= [f.scale for f in funcs]
     minus = plus * np.where(cosine, 1.0, -1.0)
     columns: dict[SupportSet, list[int]] = {}
     for j, f in enumerate(funcs):

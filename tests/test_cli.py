@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import apscast
-from apscast.cli import RunConfig, main
+from apscast.cli import main
+from apscast.commands import RunConfig
 from apscast.errors import ContractError, NumericalConsistencyError
 
 HALF_PI = math.pi / 2
@@ -255,6 +256,25 @@ class TestCommands:
         np.testing.assert_allclose(got["first_col_im"], expected.first_col.imag,
                                    atol=1e-12)
 
+    def test_convert_config_writes_the_operator_files_bytes(self, tmp_path):
+        """``convert --config`` and ``convert --operator`` with that config's
+        exported operator run the same product and write the same bytes."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"array": {"n_antennas": 64},
+                                      "support": [[0.0, HALF_PI]]}))
+        op_path = tmp_path / "op.json"
+        assert main(["export-operator", "--config", str(config), "-o", str(op_path)]) == 0
+        rng = np.random.default_rng(7)
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 64, "first_col_re": rng.normal(size=64).tolist(),
+                                   "first_col_im": [0.0, *rng.normal(size=63)]}))
+        written = []
+        for source in (["--config", str(config)], ["--operator", str(op_path)]):
+            out = tmp_path / f"out{len(written)}.json"
+            assert main(["convert", *source, "--input", str(inp), "-o", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_operator_file_schema(self, tmp_path, small_config_file):
         op_path = tmp_path / "op.json"
         assert main(["export-operator", "--config", small_config_file,
@@ -345,18 +365,6 @@ class TestColdImport:
             "apscast", "apscast.cli", "apscast.documents", "apscast.errors"}
         assert json.loads((tmp_path / "out.json").read_text())["n"] == 4
 
-    def test_run_config_resolves_on_first_use(self):
-        """``apscast.cli.RunConfig`` is the handler module's class, which
-        ``import apscast.cli`` does not load."""
-        code = ("import sys, apscast.cli; "
-                "before = 'apscast.commands' in sys.modules; "
-                "from apscast.cli import RunConfig; "
-                "print(before, RunConfig.__module__)")
-        assert _fresh_python(code) == "False apscast.commands"
-        assert RunConfig.__module__ == "apscast.commands"
-        with pytest.raises(AttributeError):
-            apscast.cli.no_such_name
-
     def test_every_public_name_resolves(self):
         for name in apscast.__all__:
             assert getattr(apscast, name) is not None, name
@@ -407,6 +415,8 @@ class TestErrorPaths:
         pytest.param(".", None, None, id="."),
         pytest.param("latin1.json", b'{"n": "caf\xe9"}', None, id="not-utf8"),
         pytest.param("deep.json", b"[" * 10**5 + b"]" * 10**5, None, id="deep-nesting"),
+        pytest.param("rank.json", b'{"rank": ' + b"9" * 5000 + b"}", None,
+                     id="5000-digit-rank"),
         pytest.param("op.json", "exported", "--config", id="config-ignored"),
         pytest.param("op.json", "exported", "--support", id="support-ignored"),
     ])
@@ -504,6 +514,7 @@ class TestErrorPaths:
         "NaN", "1e400", '"1.5"', "true", "false",
         pytest.param('"caf\xe9"', id="not-utf8"),  # one byte 0xe9 in latin-1
         pytest.param("[" * 10**5 + "]" * 10**5, id="deep-nesting"),
+        pytest.param("9" * 5000, id="5000-digit-integer"),
     ])
     def test_non_finite_covariance_exits_1(self, tmp_path, recip_config_file,
                                            capsys, token):
@@ -594,10 +605,11 @@ class TestErrorPaths:
         ('{"grid_points": 1e400}', "config.grid_points"),
         ('{"B": "caf\xe9"}', "is not UTF-8"),  # one byte 0xe9 in latin-1
         ("[" * 10**5 + "]" * 10**5, "nested too deeply"),
+        ('{"B": %s}' % ("9" * 5000), "integer literal with too many digits"),
     ], ids=["fractional-int", "string-int", "string-float", "null-float",
             "overflowing-float", "removed-quad", "string-pinv", "array-not-object",
             "peak-without-scale", "string-support", "list-config",
-            "overflowing-int", "not-utf8", "deep-nesting"])
+            "overflowing-int", "not-utf8", "deep-nesting", "5000-digit-integer"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, text, key):
         """Each bad value is rejected while reading the config, with an
         ``error:`` line that names its key, and nothing is written."""

@@ -4,10 +4,10 @@ Part one checks the sampling rule itself: the sampled Gram matrix over
 uplink plus downlink kernels against closed-form ``inner_product`` (unmasked)
 and ``inner_product_quadrature`` (masked).  Part two checks what the engine
 derives from its SVD (``A``, residuals, rank) against ``pinv_psd`` applied to
-the closed-form Gram matrix.  Part three checks the build's grouped forms,
-one mask pass per distinct mask in ``sample`` and one J0 per distinct
-frequency in ``kernel_norms_sq``, against per-function references, byte for
-byte.
+the closed-form Gram matrix.  Part three checks the build's grouped mask
+pass in ``sample`` against a per-column reference, byte for byte, and the
+downlink norms the build takes from its samples against closed-form
+``norm_sq``.
 """
 
 import functools
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import apscast.hilbert_space as hilbert_space
+import apscast.numerics as numerics
 from apscast.array_model import build_function_set
 from apscast.bounds_analysis import compute_bounds
 from apscast.conversion import build_conversion_operator, build_gram_system
@@ -26,7 +27,6 @@ from apscast.hilbert_space import (
     clamp_residual_sq,
     inner_product,
     inner_product_quadrature,
-    kernel_norms_sq,
     mask,
     norm_sq,
     sample,
@@ -125,7 +125,6 @@ def _sample_per_column(funcs, nodes, weights):
     plus = np.outer(np.sin(nodes), [f.omega for f in funcs])
     np.cos(plus, out=plus, where=cosine)
     np.sin(plus, out=plus, where=~cosine)
-    plus *= [f.scale for f in funcs]
     minus = plus * np.where(cosine, 1.0, -1.0)
     for j, f in enumerate(funcs):
         if f.mask is not None:
@@ -143,8 +142,7 @@ def _mixed_masks():
     """Kernels under two different masks, interleaved with unmasked ones
     and with a fully masked one."""
     right = SupportSet([[0.0, HALF_PI]])
-    kernels = [AngularFunction(trig, w, scale=s)
-               for trig in Trig for w, s in ((0.0, 1.0), (3.3, 0.3), (11.7, -1.7))]
+    kernels = [AngularFunction(trig, w) for trig in Trig for w in (0.0, 3.3, 11.7)]
     funcs = []
     for k, g in enumerate(kernels):
         funcs += [g, mask(g, right), mask(g, TWO_INTERVALS)]
@@ -161,17 +159,30 @@ def test_sample_masks_match_per_column_loop():
     assert got.tobytes() == _sample_per_column(funcs, nodes, weights).tobytes()
 
 
+@pytest.mark.parametrize("c_s", [None, SupportSet([[0.0, HALF_PI]]), TWO_INTERVALS],
+                         ids=["no-SI", "right-half", "two-intervals"])
 @pytest.mark.parametrize("f_up, f_down", [(1.8e9, 1.9e9), (1.9e9, 1.8e9), (1.8e9, 2.7e9)],
                          ids=["reference", "fd<fu", "fd=1.5fu"])
-@pytest.mark.parametrize("n", [1, 2, 30, 64])
-def test_downlink_norms_match_norm_sq(n, f_up, f_down):
-    fs = build_function_set(_geometry(n, f_up, f_down))
-    gs = build_gram_system(fs)
+@pytest.mark.parametrize("n", [1, 2, 30, 64, 128])
+def test_downlink_norms_match_norm_sq(n, f_up, f_down, c_s):
+    """The build's sampled norms ||Y_k||^2 against the closed form; the
+    zero kernel of slot N+1 has norm exactly 0."""
+    fs = build_function_set(_geometry(n, f_up, f_down), c_s)
+    got = build_gram_system(fs).downlink_norms_sq
     want = np.array([norm_sq(g) for g in fs.downlink])
-    assert gs.downlink_norms_sq.tobytes() == want.tobytes()
+    assert got[n] == 0.0 and want[n] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def test_kernel_norms_of_masked_and_zero_functions():
-    funcs = _mixed_masks()
-    want = np.array([norm_sq(f) for f in funcs])
-    assert kernel_norms_sq(funcs).tobytes() == want.tobytes()
+@pytest.mark.parametrize("c_s", [None, TWO_INTERVALS], ids=["no-SI", "two-intervals"])
+def test_build_makes_no_j0_call(monkeypatch, c_s):
+    """J0 is the closed-form reference only: a build, its operator and its
+    bounds run with every J0 the package could call refusing to run."""
+    def refuse(x):
+        raise AssertionError(f"the build called J0({x})")
+
+    monkeypatch.setattr(numerics, "bessel_j0", refuse)
+    monkeypatch.setattr(hilbert_space, "bessel_j0", refuse)
+    gs = build_gram_system(build_function_set(UlaConfig.reference(30), c_s))
+    build_conversion_operator(gs)
+    compute_bounds(gs)

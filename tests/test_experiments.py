@@ -311,14 +311,14 @@ class TestFig3:
     def test_zero_spectrum_gives_zero_curves(self, reference_cfg, c_s_right):
         aps = ApsModel(peaks=(ApsPeak(0.0, 0.1, 0.0),), normalization="raw")
         result = run_fig3(reference_cfg, c_s_right, aps, grid_points=128)
-        np.testing.assert_array_equal(result.rho_true.values, 0.0)
-        np.testing.assert_array_equal(result.rho_est_no_si.values, 0.0)
-        np.testing.assert_array_equal(result.rho_est_si.values, 0.0)
+        np.testing.assert_array_equal(result.rho_true, 0.0)
+        np.testing.assert_array_equal(result.rho_est_no_si, 0.0)
+        np.testing.assert_array_equal(result.rho_est_si, 0.0)
 
     def test_estimate_may_go_negative(self, reference_cfg, c_s_right):
         """The minimum-norm estimate is not sign-constrained."""
         result = run_fig3(reference_cfg, c_s_right, grid_points=512)
-        assert result.rho_est_no_si.values.min() < 0.0
+        assert result.rho_est_no_si.min() < 0.0
 
     def test_constraints_reproduced_no_si(self, reference_cfg, c_s_right):
         result = run_fig3(reference_cfg, c_s_right, grid_points=128)
@@ -335,7 +335,7 @@ class TestFig3:
         w[0] *= 0.5
         w[-1] *= 0.5
         for k in (0, 1, 17, 40):
-            vals = fs.uplink[k].evaluate(theta) * result.rho_est_no_si.values
+            vals = fs.uplink[k].evaluate(theta) * result.rho_est_no_si
             assert abs(float(np.dot(w, vals)) - r_u[k]) <= 1e-4
 
     def test_csv_schema(self, tmp_path, reference_cfg, c_s_right):
@@ -348,7 +348,7 @@ class TestFig3:
         assert len(rows) == 64
         for i, row in enumerate(rows):
             assert float(row["theta"]) == result.theta[i]
-            assert float(row["rho_est_si"]) == result.rho_est_si.values[i]
+            assert float(row["rho_est_si"]) == result.rho_est_si[i]
 
 
 def test_non_finite_metadata_writes_nothing(tmp_path):

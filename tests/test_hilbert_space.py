@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from apscast.errors import ContractError, NumericalConsistencyError
 from apscast.hilbert_space import (
     AngularFunction,
-    GridFunction,
     Trig,
     clamp_residual_sq,
     inner_product,
@@ -66,9 +65,9 @@ class TestSupportSet:
 
 class TestAngularFunction:
     def test_evaluate_unmasked(self):
-        f = cosf(2.0, scale=3.0)
+        f = cosf(2.0)
         t = np.array([0.0, 0.7])
-        np.testing.assert_allclose(f.evaluate(t), 3.0 * np.cos(2.0 * np.sin(t)))
+        np.testing.assert_allclose(f.evaluate(t), np.cos(2.0 * np.sin(t)))
 
     def test_evaluate_masked_zeroes_on_mask(self):
         f = mask(cosf(1.0), SupportSet([[0.0, HALF_PI]]))
@@ -80,18 +79,11 @@ class TestAngularFunction:
     def test_zero_function_detection(self):
         assert sinf(0.0).is_zero()
         assert not cosf(0.0).is_zero()
-        assert cosf(1.0, scale=0.0).is_zero()
         assert mask(cosf(1.0), SupportSet.full()).is_zero()
 
     def test_invalid_omega(self):
         with pytest.raises(ContractError):
             cosf(-1.0)
-
-    def test_grid_function_sampling(self):
-        g = GridFunction.sample(cosf(0.0), n=11)
-        np.testing.assert_allclose(g.values, 1.0)
-        with pytest.raises(ContractError):
-            GridFunction(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
 class TestInnerProduct:
@@ -110,10 +102,6 @@ class TestInnerProduct:
         a, b = 4.0, 1.5
         expected = (PI / 2) * (bessel_j0(a - b) - bessel_j0(a + b))
         assert inner_product(sinf(a), sinf(b)) == pytest.approx(expected, abs=1e-14)
-
-    def test_scale_propagates(self):
-        assert inner_product(cosf(0.0, scale=2.0), cosf(0.0, scale=-1.5)) == \
-            pytest.approx(-3.0 * PI, abs=1e-12)
 
     def test_fast_path_vs_quadrature_unmasked(self):
         rng = np.random.default_rng(11)
