@@ -103,15 +103,26 @@ class ConversionOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HermitianToeplitzCov:
     """N x N Hermitian Toeplitz covariance stored as its first column.
 
     ``first_col`` is read-only.  A writable array given to the constructor
     is copied, a read-only one is kept, as for ``ConversionOperator.A``.
+
+    A covariance made by ``from_r_vector`` also keeps its slot-order vector
+    [Re(first_col); Im(first_col)], read-only, which ``convert`` multiplies
+    without packing it again; that costs one more 2N float64 per such
+    covariance.  One built from its column, and one returned by ``convert``,
+    keeps none, and ``convert`` packs its column on each call.  The kept
+    vector equals ``to_r_vector()`` bit for bit, so the way a covariance was
+    made never changes a converted byte.  The record is slotted: it has no
+    ``__dict__`` and takes no attributes beyond its two fields.
     """
 
     first_col: np.ndarray
+    _r_vector: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         col = np.asarray(self.first_col, dtype=complex)
@@ -134,13 +145,21 @@ class HermitianToeplitzCov:
 
     @classmethod
     def from_r_vector(cls, r: np.ndarray) -> "HermitianToeplitzCov":
+        """The covariance of the slot-order vector ``r``; it keeps its own
+        read-only copy of that vector, packed from the stored column (not
+        ``r`` itself: forming the column turns -0.0 into +0.0 and an infinite
+        imaginary part into a NaN real part)."""
         r = np.asarray(r, dtype=float)
         if r.ndim != 1 or r.size % 2 != 0:
             raise ContractError("r vector must have even length 2N")
         n = r.size // 2
         col = r[:n] + 1j * r[n:]
         col.setflags(write=False)  # no other reference: kept uncopied
-        return cls(col)
+        cov = cls(col)
+        kept = np.concatenate((col.real, col.imag))
+        kept.setflags(write=False)
+        object.__setattr__(cov, "_r_vector", kept)
+        return cov
 
     def expand(self) -> np.ndarray:
         """Full Hermitian Toeplitz matrix R[n, m] = c_{n-m}."""
@@ -157,7 +176,13 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
     writes its float64 output straight into the storage of the converted
     complex first column.  Each entry is the same dot product as in
     ``op.A @ r_u.to_r_vector()``, summed in the same order, so the two agree
-    bit for bit.
+    bit for bit, whether ``r_u`` came from ``from_r_vector`` (whose kept
+    slot-order vector is multiplied as it is) or from its column (packed on
+    this call).  The checks run on the product: a dimension mismatch, a
+    non-real diagonal and a non-finite input raise the same ContractErrors
+    as the constructor would.  The result is a read-only
+    ``HermitianToeplitzCov`` made without running the constructor's checks
+    again; it keeps no slot-order vector.
 
     ``apscast convert`` computes the same product in plain Python, with
     ``--operator`` and ``--config`` alike (a cold process cannot afford
@@ -165,20 +190,27 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
     bit for bit: entry i differs by at most 2 gamma_{2N} (|A| |r|)_i,
     gamma_m = m u / (1 - m u), u = 2^-53.
     """
-    if r_u.n != op.n:
-        raise dimension_error(r_u.n, op.n)
-    c = r_u.first_col
-    col = np.empty(op.n, dtype=complex)
-    np.dot(op._A_interleaved, np.concatenate((c.real, c.imag)), out=col.view(float))
-    col.setflags(write=False)  # no other reference: kept uncopied
+    r = r_u._r_vector
+    if r is None:
+        c = r_u.first_col
+        r = np.concatenate((c.real, c.imag))
+    col = np.empty(r.size >> 1, dtype=complex)
+    out = col.view(float)
     try:
-        return HermitianToeplitzCov(col)
-    except ContractError as exc:
+        np.dot(op._A_interleaved, r, out=out)
+    except ValueError:
+        raise dimension_error(r_u.n, op.n) from None
+    if out[1] != 0.0:
         # Row N of a built A is zero, so a NaN or inf input surfaces here
         # as a non-real diagonal; name the cause instead.
-        if not np.all(np.isfinite(c)):
-            raise ContractError("covariance entries must be finite") from exc
-        raise
+        if not np.all(np.isfinite(r)):
+            raise ContractError("covariance entries must be finite")
+        raise diagonal_error(out[1])
+    col.setflags(write=False)  # no other reference: kept uncopied
+    cov = object.__new__(HermitianToeplitzCov)  # the checks above are the constructor's
+    object.__setattr__(cov, "first_col", col)
+    object.__setattr__(cov, "_r_vector", None)
+    return cov
 
 
 # ---------------------------------------------------------------------------

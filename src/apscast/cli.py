@@ -138,34 +138,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Subcommands in the order of the help text, with their one-line help.
+_COMMANDS = {
+    "bounds": "write the per-entry bound report as CSV",
+    "fig1": "bounds with/without support information",
+    "fig2": "realized conversion errors for the two-path spectrum",
+    "fig3": "spectrum estimates on a uniform grid",
+    "export-operator": "persist the conversion operator",
+    "convert": "convert a covariance file uplink -> downlink",
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When ``argv[0]`` names a subcommand only its
+    subparser is built (a cold process spends about half as long building
+    one as all six), and the usage line still lists every subcommand.
+    Otherwise (no command, an unknown one, ``--help``) all six are built.
+    Every usage, help and error text is the same either way."""
     parser = _Parser(
         prog="apscast",
         description="Uplink-downlink covariance conversion with certified "
                     "per-entry error bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    for name in names:
+        p = sub.add_parser(name, help=_COMMANDS[name])
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--support", type=float, nargs="*",
                        help="support intervals as flat a b pairs (radians), "
                             "overrides the config file")
         p.add_argument("--output", "-o", help="output file or directory")
-
-    for name, blurb in [
-        ("bounds", "write the per-entry bound report as CSV"),
-        ("fig1", "bounds with/without support information"),
-        ("fig2", "realized conversion errors for the two-path spectrum"),
-        ("fig3", "spectrum estimates on a uniform grid"),
-        ("export-operator", "persist the conversion operator"),
-    ]:
-        common(sub.add_parser(name, help=blurb))
-
-    p = sub.add_parser("convert", help="convert a covariance file uplink -> downlink")
-    common(p)
-    p.add_argument("--input", required=True, help="input covariance JSON")
-    p.add_argument("--operator", help="use a previously exported operator JSON")
+        if name == "convert":
+            p.add_argument("--input", required=True, help="input covariance JSON")
+            p.add_argument("--operator", help="use a previously exported operator JSON")
     return parser
 
 
@@ -179,8 +191,8 @@ def _handler(command: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return _handler(args.command)(args)
     except NumericalConsistencyError as exc:

@@ -393,6 +393,26 @@ class TestErrorPaths:
         assert exc.value.code == 0
         assert "--operator" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["convert"], ["convert", "--help"], ["convert", "--input", "x", "extra"],
+        ["bounds", "--bogus"], ["fig1", "--support", "x"], ["fig2", "fig3"],
+        ["export-operator", "-o"], ["fig3", "--help"],
+    ], ids=lambda argv: "_".join(argv))
+    def test_one_subparser_prints_what_all_six_print(self, capsys, argv):
+        """A command line that names its command builds only that subparser,
+        and every usage, help and error text is the one the parser with all
+        six subcommands prints."""
+        from apscast.cli import _build_parser
+
+        parser = _build_parser(argv)
+        assert list(parser._subparsers._group_actions[0].choices) == [argv[0]]
+        printed = []
+        for p in (parser, _build_parser([])):
+            with pytest.raises(SystemExit) as exc:
+                p.parse_args(argv)
+            printed.append((exc.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1]
+
     def test_malformed_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -171,6 +171,22 @@ class TestHermitianToeplitzCov:
         back = HermitianToeplitzCov.from_r_vector(cov.to_r_vector())
         np.testing.assert_array_equal(back.first_col, col)
 
+    def test_kept_vector_is_the_packed_column(self):
+        """``from_r_vector`` keeps [Re; Im] of the stored column, bit for bit
+        what ``to_r_vector()`` returns, also where forming the column changes
+        ``r`` (-0.0 becomes +0.0, an infinite imaginary part makes the real
+        part NaN), and read-only: the caller's later writes do not reach it."""
+        r = np.array([1.0, -0.0, 0.25, np.nan, -np.inf, 0.0, 0.5, np.inf, 2.0, -0.0])
+        with np.errstate(invalid="ignore"):
+            cov = HermitianToeplitzCov.from_r_vector(r)
+        kept = cov._r_vector
+        assert kept.tobytes() == cov.to_r_vector().tobytes()
+        assert kept.tobytes() != r.tobytes()
+        assert not kept.flags.writeable
+        r[:] = 7.0
+        assert kept.tobytes() == cov.to_r_vector().tobytes()
+        assert HermitianToeplitzCov(cov.first_col)._r_vector is None
+
     def test_expand_is_hermitian_toeplitz(self):
         col = np.array([1.5, 0.3 - 0.7j, -0.2 + 0.1j, 0.05])
         R = HermitianToeplitzCov(col).expand()
@@ -187,14 +203,36 @@ class TestConvert:
 
     def test_dimension_mismatch(self, gs_ref_si):
         op = build_conversion_operator(gs_ref_si)
-        with pytest.raises(ContractError):
-            convert(op, HermitianToeplitzCov(np.zeros(5, dtype=complex)))
+        for n in (1, 5, 31):
+            message = f"^covariance dimension {n} does not match operator dimension 30$"
+            for cov in (HermitianToeplitzCov(np.zeros(n, dtype=complex)),
+                        HermitianToeplitzCov.from_r_vector(np.zeros(2 * n))):
+                with pytest.raises(ContractError, match=message):
+                    convert(op, cov)
+
+    def test_converted_record_is_read_only(self, gs_ref_si, rng):
+        """The result is made without the constructor; it is still frozen,
+        slotted and read-only, and keeps no slot-order vector."""
+        out = convert(build_conversion_operator(gs_ref_si), _random_cov(rng, 30))
+        for name in ("first_col", "_r_vector"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(out, name, np.zeros(30, dtype=complex))
+        # Python 3.11's frozen, slotted __setattr__ raises TypeError, not
+        # FrozenInstanceError, for a name that is not a field.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            out.extra = 1
+        with pytest.raises(ValueError):
+            out.first_col[1] = 0
+        assert type(out) is HermitianToeplitzCov and out._r_vector is None
+        assert not hasattr(out, "__dict__") and "_r_vector" not in repr(out)
+        assert out.first_col.dtype == complex and out.first_col.shape == (30,)
 
     @pytest.mark.parametrize("support", _SUPPORTS.values(), ids=_SUPPORTS.keys())
     @pytest.mark.parametrize("n", [1, 2, 30, 64])
     def test_bytes_match_slot_order_product(self, n, support, rng):
         """The interleaved product is the slot-order A @ r, bit for bit, also
-        for a strided first column."""
+        for a strided first column, and whether the covariance was built from
+        its column or from its r-vector (multiplying the kept vector)."""
         fs = build_function_set(UlaConfig.reference(n), support and SupportSet(support))
         op = build_conversion_operator(build_gram_system(fs))
         big = np.zeros(2 * n, dtype=complex)
@@ -204,7 +242,10 @@ class TestConvert:
                  HermitianToeplitzCov(big[::2])]
         for cov in covs:
             want = HermitianToeplitzCov.from_r_vector(op.A @ cov.to_r_vector())
-            assert convert(op, cov).first_col.tobytes() == want.first_col.tobytes()
+            by_r = HermitianToeplitzCov.from_r_vector(cov.to_r_vector())
+            assert by_r._r_vector is not None and cov._r_vector is None
+            for c in (cov, by_r):
+                assert convert(op, c).first_col.tobytes() == want.first_col.tobytes()
 
     @pytest.mark.parametrize("slot, value", [(0, np.nan), (1, np.inf), (2, complex(0, -np.inf))],
                              ids=["nan-diagonal", "inf-real", "inf-imag"])
@@ -212,9 +253,11 @@ class TestConvert:
         op = build_conversion_operator(gs_ref_si)
         col = np.ones(op.n, dtype=complex)
         col[slot] = value
-        with pytest.raises(ContractError, match="covariance entries must be finite"), \
-                np.errstate(invalid="ignore"):
-            convert(op, HermitianToeplitzCov(col))
+        cov = HermitianToeplitzCov(col)
+        with np.errstate(invalid="ignore"):
+            for c in (cov, HermitianToeplitzCov.from_r_vector(cov.to_r_vector())):
+                with pytest.raises(ContractError, match="^covariance entries must be finite$"):
+                    convert(op, c)
 
     def test_reciprocity_identity(self, recip_cfg, rng):
         fs = build_function_set(recip_cfg)
@@ -542,8 +585,11 @@ class TestCommandLineProduct:
         code, got = _cli_convert(tmp_path, doc, [2.0, 1.0])
         assert code == 1 and got is None
         assert "diagonal entry must be real: imag(first_col[0]) = 2.0" in capsys.readouterr().err
-        with pytest.raises(ContractError, match="diagonal entry must be real"):
-            convert(operator_from_dict(doc), HermitianToeplitzCov(np.array([2.0, 1.0])))
+        op, cov = operator_from_dict(doc), HermitianToeplitzCov(np.array([2.0, 1.0]))
+        for c in (cov, HermitianToeplitzCov.from_r_vector(cov.to_r_vector())):
+            with pytest.raises(ContractError, match=r"^diagonal entry must be real: "
+                                                    r"imag\(first_col\[0\]\) = 2\.0$"):
+                convert(op, c)
 
     def test_reads_a_as_little_endian(self, tmp_path):
         """A literal operator: A = [[1.5, -2, 0, 0.25], [0.5, 1, 0, 0],
