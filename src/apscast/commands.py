@@ -1,9 +1,13 @@
 """The subcommands that build an operator: ``bounds``, ``fig1``-``fig3``,
 ``export-operator`` and the config side of ``convert``.
 
+Every handler loads the config, runs its build (``_gram_system`` is the
+one Gram build) and ends in ``_emit``, so each build command writes its
+file at ``--output``, ``<stem>_meta.json`` with the config echo plus the
+command's keys (none for ``export-operator``) and one ``wrote`` line.
 ``cli`` imports this module on the first use of one of them, so a
-``convert --operator`` process never compiles it.
-The handlers import the build inside their bodies.
+``convert --operator`` process never compiles it; the handlers import
+the build inside their bodies.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import argparse
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .cli import _out_path
 from .documents import json_number, json_object, load_strict_json
@@ -21,6 +25,7 @@ from .records import SupportSet, UlaConfig, config_to_dict, spec_from_dict, supp
 
 if TYPE_CHECKING:
     from .apply import ConversionOperator
+    from .conversion import GramSystem
     from .experiments import ApsModel
     from .numerics import PinvSpec
 
@@ -90,91 +95,83 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _build_operator(cfg: RunConfig) -> ConversionOperator:
+def _gram_system(cfg: RunConfig) -> GramSystem:
     from .array_model import build_function_set
-    from .conversion import build_conversion_operator, build_gram_system
+    from .conversion import build_gram_system
 
-    fs = build_function_set(cfg.array, cfg.support)
-    return build_conversion_operator(build_gram_system(fs, cfg.pinv))
+    return build_gram_system(build_function_set(cfg.array, cfg.support), cfg.pinv)
+
+
+def _build_operator(cfg: RunConfig) -> ConversionOperator:
+    from .conversion import build_conversion_operator
+
+    return build_conversion_operator(_gram_system(cfg))
+
+
+def _emit(args: argparse.Namespace, cfg: RunConfig, name: str,
+          write: Callable[[str], None], meta: dict | None = None, note: str = "") -> int:
+    """The output step of every build command: ``write(path)``, ``cfg`` plus
+    ``meta`` as ``<stem>_meta.json`` (unless None) and the ``wrote`` line."""
+    path = _out_path(args, name)
+    write(path)
+    if meta is not None:
+        from .experiments import write_metadata
+
+        write_metadata(os.path.splitext(path)[0] + "_meta.json", cfg.to_dict() | meta)
+    print(f"wrote {path}{note}")
+    return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    from .array_model import build_function_set
     from .bounds_analysis import compute_bounds, write_bounds_csv
-    from .conversion import build_gram_system
-    from .experiments import write_metadata
 
     cfg = _load_config(args)
-    fs = build_function_set(cfg.array, cfg.support)
-    gs = build_gram_system(fs, cfg.pinv)
+    gs = _gram_system(cfg)
     report = compute_bounds(gs, cfg.B)
-    path = _out_path(args, "bounds.csv")
-    write_bounds_csv(path, report)
-    meta = cfg.to_dict() | {"gram_rank": gs.rank, "L": gs.L,
-                            "config_hash": report.config_hash}
-    write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
-    print(f"wrote {path} ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
-    return 0
+    return _emit(args, cfg, "bounds.csv", lambda path: write_bounds_csv(path, report),
+                 {"gram_rank": gs.rank, "L": gs.L, "config_hash": report.config_hash},
+                 f" ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
-    from .experiments import run_fig1, write_fig1_csv, write_metadata
+    from .experiments import run_fig1, write_fig1_csv
 
     cfg = _load_config(args)
     result = run_fig1(cfg.array, cfg.support, cfg.B, cfg.pinv)
-    path = _out_path(args, "fig1.csv")
-    write_fig1_csv(path, result)
-    meta = cfg.to_dict() | {
-        "gram_rank_no_si": result.report_no_si.rank,
-        "gram_rank_si": result.report_si.rank,
-    }
-    write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
-    print(f"wrote {path}")
-    return 0
+    return _emit(args, cfg, "fig1.csv", lambda path: write_fig1_csv(path, result),
+                 {"gram_rank_no_si": result.report_no_si.rank,
+                  "gram_rank_si": result.report_si.rank})
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
-    from .experiments import run_fig2, write_fig2_csv, write_metadata
+    from .experiments import run_fig2, write_fig2_csv
 
     cfg = _load_config(args)
     result = run_fig2(cfg.array, cfg.support, cfg.aps, cfg.B, cfg.pinv)
-    path = _out_path(args, "fig2.csv")
-    write_fig2_csv(path, result)
-    meta = cfg.to_dict() | {
-        "max_err_no_si": float(result.errors_no_si.max()),
-        "max_err_si": float(result.errors_si.max()),
-        "leakage_norm": result.leakage_norm,
-    }
-    write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
-    print(f"wrote {path} (max err {result.errors_no_si.max():.3e} -> "
-          f"{result.errors_si.max():.3e} with support information)")
-    return 0
+    no_si, si = result.errors_no_si.max(), result.errors_si.max()
+    return _emit(args, cfg, "fig2.csv", lambda path: write_fig2_csv(path, result),
+                 {"max_err_no_si": float(no_si), "max_err_si": float(si),
+                  "leakage_norm": result.leakage_norm},
+                 f" (max err {no_si:.3e} -> {si:.3e} with support information)")
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    from .experiments import run_fig3, write_fig3_csv, write_metadata
+    from .experiments import run_fig3, write_fig3_csv
 
     cfg = _load_config(args)
     result = run_fig3(cfg.array, cfg.support, cfg.aps, cfg.grid_points, cfg.pinv)
-    path = _out_path(args, "fig3.csv")
-    write_fig3_csv(path, result)
-    meta = cfg.to_dict() | {
-        "max_constraint_error_no_si": float(result.constraint_errors_no_si.max()),
-        "max_constraint_error_si": float(result.constraint_errors_si.max()),
-    }
-    write_metadata(os.path.splitext(path)[0] + "_meta.json", meta)
-    print(f"wrote {path}")
-    return 0
+    return _emit(args, cfg, "fig3.csv", lambda path: write_fig3_csv(path, result),
+                 {"max_constraint_error_no_si": float(result.constraint_errors_no_si.max()),
+                  "max_constraint_error_si": float(result.constraint_errors_si.max())})
 
 
 def _cmd_export_operator(args: argparse.Namespace) -> int:
     from .apply import export_operator
 
-    op = _build_operator(_load_config(args))
-    path = _out_path(args, "operator.json")
-    export_operator(path, op)
-    print(f"wrote {path} (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})")
-    return 0
+    cfg = _load_config(args)
+    op = _build_operator(cfg)
+    return _emit(args, cfg, "operator.json", lambda path: export_operator(path, op),
+                 note=f" (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})")
 
 
 # Subcommand name -> handler; ``cli`` handles ``convert`` itself.

@@ -286,6 +286,85 @@ class TestCommands:
         assert len(base64.b64decode(doc["A"], validate=True)) == 8 * 8 * 8  # float64 bytes
 
 
+# Build command -> the file it writes by default.
+BUILD_COMMANDS = {"bounds": "bounds.csv", "fig1": "fig1.csv", "fig2": "fig2.csv",
+                  "fig3": "fig3.csv", "export-operator": "operator.json"}
+
+
+def _library_outputs(command: str, cfg: RunConfig, path: str):
+    """Write to ``path`` what ``command`` writes for ``cfg``, through the
+    library's own calls.  Returns the command's ``_meta.json`` keys (None
+    when it writes no metadata) and the text its ``wrote`` line carries
+    after the path."""
+    from apscast import experiments as ex
+    from apscast.apply import export_operator
+    from apscast.array_model import build_function_set
+    from apscast.bounds_analysis import compute_bounds, write_bounds_csv
+    from apscast.conversion import build_conversion_operator, build_gram_system
+
+    gs = build_gram_system(build_function_set(cfg.array, cfg.support), cfg.pinv)
+    if command == "bounds":
+        report = compute_bounds(gs, cfg.B)
+        write_bounds_csv(path, report)
+        return ({"gram_rank": gs.rank, "L": gs.L, "config_hash": report.config_hash},
+                f" ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
+    if command == "export-operator":
+        op = build_conversion_operator(gs)
+        export_operator(path, op)
+        return None, f" (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})"
+    if command == "fig1":
+        r1 = ex.run_fig1(cfg.array, cfg.support, cfg.B, cfg.pinv)
+        ex.write_fig1_csv(path, r1)
+        return {"gram_rank_no_si": r1.report_no_si.rank,
+                "gram_rank_si": r1.report_si.rank}, ""
+    if command == "fig2":
+        r2 = ex.run_fig2(cfg.array, cfg.support, cfg.aps, cfg.B, cfg.pinv)
+        ex.write_fig2_csv(path, r2)
+        no_si, si = r2.errors_no_si.max(), r2.errors_si.max()
+        return ({"max_err_no_si": float(no_si), "max_err_si": float(si),
+                 "leakage_norm": r2.leakage_norm},
+                f" (max err {no_si:.3e} -> {si:.3e} with support information)")
+    r3 = ex.run_fig3(cfg.array, cfg.support, cfg.aps, cfg.grid_points, cfg.pinv)
+    ex.write_fig3_csv(path, r3)
+    return {"max_constraint_error_no_si": float(r3.constraint_errors_no_si.max()),
+            "max_constraint_error_si": float(r3.constraint_errors_si.max())}, ""
+
+
+class TestBuildCommandBytes:
+    """Each build command writes, byte for byte, what the library's writers
+    write for the same call, plus the config echo with the command's keys
+    as ``<stem>_meta.json`` and one ``wrote`` line."""
+
+    @pytest.mark.parametrize("support", [None, [0.0, HALF_PI]], ids=["no-si", "si"])
+    @pytest.mark.parametrize("command", list(BUILD_COMMANDS))
+    def test_outputs_match_the_library(self, tmp_path, capsys, command, support):
+        from apscast.experiments import write_metadata
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"array": {"n_antennas": 6}}))
+        flag = [] if support is None else ["--support", *map(repr, support)]
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        lib_dir.mkdir()
+        assert main([command, "--config", str(config), *flag, "-o", str(cli_dir)]) == 0
+        stdout = capsys.readouterr().out
+
+        cfg = RunConfig.from_dict({"array": {"n_antennas": 6}})
+        if support is not None:
+            cfg = dataclasses.replace(cfg, support=apscast.SupportSet([support]))
+        name = BUILD_COMMANDS[command]
+        cli_path = os.path.join(str(cli_dir), name)
+        keys, note = _library_outputs(command, cfg, str(lib_dir / name))
+        assert stdout == f"wrote {cli_path}{note}\n"
+        assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes()
+        meta = f"{os.path.splitext(name)[0]}_meta.json"
+        if keys is None:
+            assert sorted(os.listdir(cli_dir)) == [name]
+            return
+        write_metadata(str(lib_dir / meta), cfg.to_dict() | keys)
+        assert sorted(os.listdir(cli_dir)) == sorted([name, meta])
+        assert (cli_dir / meta).read_bytes() == (lib_dir / meta).read_bytes()
+
+
 # Modules a process that applies a stored operator must not load.
 BUILD_MODULES = tuple(f"apscast.{m}" for m in (
     "numerics", "hilbert_space", "array_model", "conversion", "bounds_analysis",
