@@ -6,8 +6,9 @@ one Gram build) and ends in ``_emit``, so each build command writes its
 file at ``--output``, ``<stem>_meta.json`` with the config echo plus the
 command's keys (none for ``export-operator``) and one ``wrote`` line.
 ``cli`` imports this module on the first use of one of them, so a
-``convert --operator`` process never compiles it; the handlers import
-the build inside their bodies.
+``convert --operator`` process never compiles it.  This module loads the
+build when it is imported: every handler reads the config, and reading
+the config (its ``aps`` and ``pinv`` sections) already loads the build.
 """
 
 from __future__ import annotations
@@ -16,18 +17,19 @@ import argparse
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from . import bounds_analysis
+from .apply import ConversionOperator, export_operator
+from .array_model import build_function_set
 from .cli import _out_path
+from .conversion import GramSystem, build_conversion_operator, build_gram_system
 from .documents import json_number, json_object, load_strict_json
 from .errors import ContractError
+from .experiments import (ApsModel, ApsPeak, run_fig1, run_fig2, run_fig3, two_path_model,
+                          write_fig1_csv, write_fig2_csv, write_fig3_csv, write_metadata)
+from .numerics import PinvSpec
 from .records import SupportSet, UlaConfig, config_to_dict, spec_from_dict, support_from_list
-
-if TYPE_CHECKING:
-    from .apply import ConversionOperator
-    from .conversion import GramSystem
-    from .experiments import ApsModel
-    from .numerics import PinvSpec
 
 __all__ = ["RunConfig", "HANDLERS"]
 
@@ -46,9 +48,6 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Read a config document; every key is optional and checked."""
-        from .experiments import ApsModel, ApsPeak, two_path_model
-        from .numerics import PinvSpec
-
         json_object(doc, {f.name for f in dataclasses.fields(cls)}, "config")
         B = json_number(doc.get("B", 1.0), float, "config.B")
         if B <= 0.0:
@@ -96,15 +95,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _gram_system(cfg: RunConfig) -> GramSystem:
-    from .array_model import build_function_set
-    from .conversion import build_gram_system
-
     return build_gram_system(build_function_set(cfg.array, cfg.support), cfg.pinv)
 
 
 def _build_operator(cfg: RunConfig) -> ConversionOperator:
-    from .conversion import build_conversion_operator
-
     return build_conversion_operator(_gram_system(cfg))
 
 
@@ -115,27 +109,22 @@ def _emit(args: argparse.Namespace, cfg: RunConfig, name: str,
     path = _out_path(args, name)
     write(path)
     if meta is not None:
-        from .experiments import write_metadata
-
         write_metadata(os.path.splitext(path)[0] + "_meta.json", cfg.to_dict() | meta)
     print(f"wrote {path}{note}")
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    from .bounds_analysis import compute_bounds, write_bounds_csv
-
     cfg = _load_config(args)
     gs = _gram_system(cfg)
-    report = compute_bounds(gs, cfg.B)
-    return _emit(args, cfg, "bounds.csv", lambda path: write_bounds_csv(path, report),
+    report = bounds_analysis.compute_bounds(gs, cfg.B)
+    return _emit(args, cfg, "bounds.csv",
+                 lambda path: bounds_analysis.write_bounds_csv(path, report),
                  {"gram_rank": gs.rank, "L": gs.L, "config_hash": report.config_hash},
                  f" ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
-    from .experiments import run_fig1, write_fig1_csv
-
     cfg = _load_config(args)
     result = run_fig1(cfg.array, cfg.support, cfg.B, cfg.pinv)
     return _emit(args, cfg, "fig1.csv", lambda path: write_fig1_csv(path, result),
@@ -144,8 +133,6 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
-    from .experiments import run_fig2, write_fig2_csv
-
     cfg = _load_config(args)
     result = run_fig2(cfg.array, cfg.support, cfg.aps, cfg.B, cfg.pinv)
     no_si, si = result.errors_no_si.max(), result.errors_si.max()
@@ -156,8 +143,6 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    from .experiments import run_fig3, write_fig3_csv
-
     cfg = _load_config(args)
     result = run_fig3(cfg.array, cfg.support, cfg.aps, cfg.grid_points, cfg.pinv)
     return _emit(args, cfg, "fig3.csv", lambda path: write_fig3_csv(path, result),
@@ -166,8 +151,6 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_operator(args: argparse.Namespace) -> int:
-    from .apply import export_operator
-
     cfg = _load_config(args)
     op = _build_operator(cfg)
     return _emit(args, cfg, "operator.json", lambda path: export_operator(path, op),

@@ -195,13 +195,9 @@ def synthesize_r_vector(aps: ApsModel, funcs: Sequence[AngularFunction]) -> np.n
     return sample(funcs, nodes, weights).T @ rho
 
 
-def synthesize_covariance(aps: ApsModel, fs: FunctionSet, side: str = "uplink"):
-    """Hermitian Toeplitz covariance of the given side for this spectrum."""
-    if side not in ("uplink", "downlink"):
-        raise ContractError(f"side must be 'uplink' or 'downlink', got {side!r}")
-    funcs = fs.uplink if side == "uplink" else fs.downlink
-    r = synthesize_r_vector(aps, funcs)
-    return HermitianToeplitzCov.from_r_vector(r)
+def synthesize_covariance(aps: ApsModel, fs: FunctionSet):
+    """Hermitian Toeplitz uplink covariance for this spectrum."""
+    return HermitianToeplitzCov.from_r_vector(synthesize_r_vector(aps, fs.uplink))
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +354,10 @@ def run_fig1(
     pinv: PinvSpec = PinvSpec(),
 ) -> Fig1Result:
     """Certified bounds with and without support information."""
-    gs_no, gs_si = _gram_systems(cfg, c_s, pinv)
+    report_no_si, report_si = (compute_bounds(gs, B) for gs in _gram_systems(cfg, c_s, pinv))
     return Fig1Result(
-        report_no_si=compute_bounds(gs_no, B),
-        report_si=compute_bounds(gs_si, B),
+        report_no_si=report_no_si,
+        report_si=report_si,
     )
 
 
@@ -379,23 +375,18 @@ def run_fig2(
     then holds only up to the reported leakage term.
     """
     aps = aps or two_path_model()
-    gs_no, gs_si = _gram_systems(cfg, c_s, pinv)
-    fs = gs_si.function_set
+    gram_pair = _gram_systems(cfg, c_s, pinv)
+    fs = gram_pair[1].function_set
 
     r_u = synthesize_r_vector(aps, fs.uplink)
     r_d = synthesize_r_vector(aps, fs.downlink)
-    op_no = build_conversion_operator(gs_no)
-    op_si = build_conversion_operator(gs_si)
-    errors_no = np.abs(op_no.A @ r_u - r_d)
-    errors_si = np.abs(op_si.A @ r_u - r_d)
-
-    bounds_si = compute_bounds(gs_si, B).bounds_pv0
-    leak = aps.norm_outside(c_s) if (c_s is not None and not c_s.is_empty()) else 0.0
+    errors_no_si, errors_si = (np.abs(build_conversion_operator(gs).A @ r_u - r_d)
+                               for gs in gram_pair)
     return Fig2Result(
-        errors_no_si=errors_no,
+        errors_no_si=errors_no_si,
         errors_si=errors_si,
-        bounds_si=bounds_si,
-        leakage_norm=leak,
+        bounds_si=compute_bounds(gram_pair[1], B).bounds_pv0,
+        leakage_norm=aps.norm_outside(fs.support) if fs.support is not None else 0.0,
     )
 
 
@@ -408,23 +399,24 @@ def run_fig3(
 ) -> Fig3Result:
     """Spectrum estimates on a uniform grid plus constraint-satisfaction data."""
     aps = aps or two_path_model()
-    gs_no, gs_si = _gram_systems(cfg, c_s, pinv)
-    fs = gs_si.function_set
+    gram_pair = _gram_systems(cfg, c_s, pinv)
+    fs = gram_pair[1].function_set
 
     r_u = synthesize_r_vector(aps, fs.uplink)
-    est_no = estimate_aps(gs_no, r_u)
-    est_si = estimate_aps(gs_si, r_u)
+    est_pair = [estimate_aps(gs, r_u) for gs in gram_pair]
 
     theta = np.linspace(-HALF_PI, HALF_PI, grid_points)
-    resat_no = gs_no.G @ est_no.coefficients
-    resat_si = gs_si.G @ est_si.coefficients
+    rho_est_no_si, rho_est_si = (est.evaluate(theta) for est in est_pair)
+    constraint_errors_no_si, constraint_errors_si = (
+        np.abs((gs.G @ est.coefficients)[: 2 * fs.n] - r_u)
+        for gs, est in zip(gram_pair, est_pair))
     return Fig3Result(
         theta=theta,
         rho_true=aps.evaluate(theta),
-        rho_est_no_si=est_no.evaluate(theta),
-        rho_est_si=est_si.evaluate(theta),
-        constraint_errors_no_si=np.abs(resat_no[: 2 * fs.n] - r_u),
-        constraint_errors_si=np.abs(resat_si[: 2 * fs.n] - r_u),
+        rho_est_no_si=rho_est_no_si,
+        rho_est_si=rho_est_si,
+        constraint_errors_no_si=constraint_errors_no_si,
+        constraint_errors_si=constraint_errors_si,
     )
 
 
@@ -433,37 +425,31 @@ def run_fig3(
 # ---------------------------------------------------------------------------
 
 
-def _write_rows(path: str, header: Sequence[str], rows) -> None:
+def _write_columns(path: str, header: Sequence[str], *columns: Sequence) -> None:
+    """``header``, then one row per index of the equal-length ``columns``;
+    ``csv`` writes each float as its ``repr``, so every value round-trips."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*columns))
 
 
 def write_fig1_csv(path: str, result: Fig1Result) -> None:
-    no_si = result.report_no_si.bounds_pv0.tolist()
-    si = result.report_si.bounds_pv0.tolist()
-    rows = [[k, repr(b0), repr(b1)] for k, (b0, b1) in enumerate(zip(no_si, si), start=1)]
-    _write_rows(path, ["k", "bound_no_si", "bound_si"], rows)
+    no_si = result.report_no_si.bounds_pv0
+    _write_columns(path, ["k", "bound_no_si", "bound_si"], range(1, no_si.size + 1),
+                   no_si.tolist(), result.report_si.bounds_pv0.tolist())
 
 
 def write_fig2_csv(path: str, result: Fig2Result) -> None:
-    rows = [
-        [k + 1, repr(float(result.errors_no_si[k])), repr(float(result.errors_si[k])),
-         repr(float(result.bounds_si[k]))]
-        for k in range(result.errors_no_si.size)
-    ]
-    _write_rows(path, ["k", "err_no_si", "err_si", "bound_si"], rows)
+    _write_columns(path, ["k", "err_no_si", "err_si", "bound_si"],
+                   range(1, result.errors_no_si.size + 1), result.errors_no_si.tolist(),
+                   result.errors_si.tolist(), result.bounds_si.tolist())
 
 
 def write_fig3_csv(path: str, result: Fig3Result) -> None:
-    rows = [
-        [repr(float(t)), repr(float(a)), repr(float(b)), repr(float(c))]
-        for t, a, b, c in zip(
-            result.theta, result.rho_true, result.rho_est_no_si, result.rho_est_si
-        )
-    ]
-    _write_rows(path, ["theta", "rho_true", "rho_est_no_si", "rho_est_si"], rows)
+    _write_columns(path, ["theta", "rho_true", "rho_est_no_si", "rho_est_si"],
+                   result.theta.tolist(), result.rho_true.tolist(),
+                   result.rho_est_no_si.tolist(), result.rho_est_si.tolist())
 
 
 def write_metadata(path: str, payload: dict) -> None:

@@ -263,7 +263,7 @@ class TestConvert:
         fs = build_function_set(recip_cfg)
         op = build_conversion_operator(build_gram_system(fs))
         aps = random_aps_model(rng, SupportSet.full())
-        cov = synthesize_covariance(aps, fs, "uplink")
+        cov = synthesize_covariance(aps, fs)
         out = convert(op, cov)
         np.testing.assert_allclose(out.first_col, cov.first_col, atol=1e-6)
 
@@ -271,7 +271,7 @@ class TestConvert:
         fs = gs_ref_si.function_set
         op = build_conversion_operator(gs_ref_si)
         aps = random_aps_model(rng, SupportSet([[0.0, HALF_PI]]))
-        out = convert(op, synthesize_covariance(aps, fs, "uplink"))
+        out = convert(op, synthesize_covariance(aps, fs))
         assert out.first_col[0].imag == 0.0
 
     def test_two_path_equivalence(self, gs_ref_si, rng):
@@ -421,7 +421,7 @@ class TestOperatorSerialization:
         export_operator(str(path), op, G=gs_ref_si.G)
         loaded = load_operator(str(path))
         aps = random_aps_model(rng, SupportSet([[0.0, HALF_PI]]))
-        cov = synthesize_covariance(aps, fs, "uplink")
+        cov = synthesize_covariance(aps, fs)
         a = convert(op, cov).first_col
         b = convert(loaded, cov).first_col
         np.testing.assert_array_equal(a, b)
@@ -440,7 +440,7 @@ class TestOperatorSerialization:
         a = operator_from_dict(json.loads(json.dumps(slim)))
         b = operator_from_dict(json.loads(json.dumps(old)))
         aps = random_aps_model(rng, SupportSet([[0.0, HALF_PI]]))
-        cov = synthesize_covariance(aps, fs, "uplink")
+        cov = synthesize_covariance(aps, fs)
         np.testing.assert_array_equal(convert(a, cov).first_col,
                                       convert(b, cov).first_col)
 

@@ -1,0 +1,70 @@
+"""Every name a package module imports at module level is used in it.
+
+The package has no linter, so this parses each ``src/apscast`` module
+with ``ast``.  An imported name passes when the module reads it or lists
+it in ``__all__``.  ``__future__`` imports and names marked
+``# noqa: F401`` (kept for ``bench/tracing.py`` to wrap) are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "apscast"
+
+
+def _module_imports(body: list[ast.stmt]):
+    """The alias of each name imported at module level, including
+    those under a module-level ``if`` such as ``if TYPE_CHECKING:``."""
+    for node in body:
+        if isinstance(node, ast.If):
+            yield from _module_imports(node.body + node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            yield from node.names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string literals in the module's ``__all__`` assignment."""
+    return {c.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for c in ast.walk(node.value)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``module:line: name`` for each unused module-level import in ``path``."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    found = []
+    for alias in _module_imports(tree.body):
+        name = alias.asname or alias.name.split(".")[0]
+        if name != "*" and name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+            found.append(f"{path.stem}:{alias.lineno}: {name}")
+    return found
+
+
+def test_checker_flags_an_unused_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os\n"
+                   "from typing import TYPE_CHECKING\n"
+                   "if TYPE_CHECKING:\n"
+                   "    import numpy as np\n"
+                   "from json import dumps, loads  # noqa: F401\n"
+                   "from csv import writer\n"
+                   "__all__ = ['writer']\n"
+                   "def f(x: np.ndarray) -> None:\n"
+                   "    return os\n", encoding="utf-8")
+    assert unused_imports(mod) == []
+    mod.write_text("import os\nif True:\n    import sys\n", encoding="utf-8")
+    assert unused_imports(mod) == ["mod:1: os", "mod:3: sys"]
+
+
+def test_package_modules_have_no_unused_imports():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [line for path in modules for line in unused_imports(path)]
+    assert not found, "unused imports:\n" + "\n".join(found)
