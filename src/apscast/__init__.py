@@ -36,16 +36,13 @@ _HOME = {
     "mask": "hilbert_space",
     "FunctionSet": "array_model",
     "build_function_set": "array_model",
-    "steering_vector": "array_model",
     "ApsEstimate": "conversion",
     "GramSystem": "conversion",
     "build_conversion_operator": "conversion",
     "build_gram_system": "conversion",
     "estimate_aps": "conversion",
     "BoundReport": "bounds_analysis",
-    "bound_tightened_by_support": "bounds_analysis",
     "compute_bounds": "bounds_analysis",
-    "write_bounds_csv": "bounds_analysis",
     "ApsModel": "experiments",
     "ApsPeak": "experiments",
     "OracleSpec": "experiments",
@@ -57,6 +54,7 @@ _HOME = {
     "synthesize_covariance": "experiments",
     "synthesize_r_vector": "experiments",
     "two_path_model": "experiments",
+    "write_bounds_csv": "experiments",
 }
 
 __all__ = sorted(_HOME)

@@ -8,8 +8,7 @@ the SVD, bounds, experiments).
 
 The operator file is one JSON object.  ``A`` is a string: the base64
 encoding of its row-major, little-endian float64 bytes, 8 (2N)^2 bytes.
-Files written by earlier versions hold ``A`` as nested lists; they still
-load.  ``documents.operator_record`` makes every check on the document,
+``documents.operator_record`` makes every check on the document,
 ``config`` and ``support`` included, and returns plain values, which
 ``load_operator`` turns into the records and arrays here.  The command
 line's ``convert --operator`` applies the same checked values without this
@@ -68,7 +67,8 @@ class ConversionOperator:
     keeps a copy with the rows interleaved (row 2i is slot i, row 2i+1 slot
     N+i; columns in slot order), so the product in ``convert`` is the
     storage of the complex first column.  That copy costs one more 2N x 2N
-    float64 per operator.
+    float64 per operator.  Pickling and copying go back through the
+    constructor, so a loaded operator's arrays are read-only again.
     """
 
     config: UlaConfig
@@ -92,6 +92,10 @@ class ConversionOperator:
         rows.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "_A_interleaved", rows)
+
+    def __reduce__(self):
+        return type(self), (self.config, self.support, self.A,
+                            self.downlink_norms_sq, self.rank, self.L)
 
     @property
     def n(self) -> int:
@@ -117,7 +121,9 @@ class HermitianToeplitzCov:
     keeps none, and ``convert`` packs its column on each call.  The kept
     vector equals ``to_r_vector()`` bit for bit, so the way a covariance was
     made never changes a converted byte.  The record is slotted: it has no
-    ``__dict__`` and takes no attributes beyond its two fields.
+    ``__dict__`` and takes no attributes beyond its two fields.  Pickling and
+    copying go back through the constructor: the loaded ``first_col`` is
+    read-only, and the loaded covariance keeps no slot-order vector.
     """
 
     first_col: np.ndarray
@@ -134,6 +140,9 @@ class HermitianToeplitzCov:
             col = col.copy()  # the caller may still write into its own array
             col.setflags(write=False)
         object.__setattr__(self, "first_col", col)
+
+    def __reduce__(self):
+        return type(self), (self.first_col,)
 
     @property
     def n(self) -> int:
@@ -250,10 +259,9 @@ def _from_record(rec: OperatorRecord) -> ConversionOperator:
 def operator_from_dict(doc: dict) -> ConversionOperator:
     """Build the operator from a document after the checks of
     ``documents.operator_record``: config and support are valid sections,
-    n, L and rank are integers that agree, A is a finite (2n, 2n) array
-    (base64 or nested lists) and downlink_norms_sq a list of 2n finite
-    numbers.  Keys other than those ``operator_to_dict`` writes (such as
-    ``G`` and ``Q`` in older files) are ignored."""
+    n, L and rank are integers that agree, A is the base64 of a finite
+    (2n, 2n) array and downlink_norms_sq a list of 2n finite numbers.
+    Other keys, ``G`` included, are ignored."""
     return _from_record(operator_record(doc))
 
 

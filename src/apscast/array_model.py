@@ -1,4 +1,4 @@
-"""Uniform linear array model: uplink/downlink function sets and steering vectors.
+"""Uniform linear array model: the uplink and downlink function sets.
 
 For a ULA the covariance is Hermitian Toeplitz, so only the 2N functions
 behind the first column matter: slots 1..N carry the real parts
@@ -11,16 +11,14 @@ rank deficiency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
 from .hilbert_space import AngularFunction, Trig, mask
-from .records import HALF_PI, TWO_PI, SupportSet, UlaConfig
+from .records import SupportSet, UlaConfig
 
-__all__ = ["FunctionSet", "build_function_set", "steering_vector"]
+__all__ = ["FunctionSet", "build_function_set"]
 
 
 @dataclass(frozen=True)
@@ -73,13 +71,3 @@ def build_function_set(cfg: UlaConfig, c_s: SupportSet | None = None) -> Functio
         support=c_s if (c_s is not None and not c_s.is_empty()) else None,
     )
 
-
-def steering_vector(cfg: UlaConfig, theta: float, f: float) -> np.ndarray:
-    """Array response a(theta, f): entry n = exp(i 2 pi (f/c) d (n-1) sin theta)."""
-    if not (-HALF_PI <= theta <= HALF_PI):
-        raise ContractError(f"theta must lie in [-pi/2, pi/2], got {theta}")
-    if f <= 0.0:
-        raise ContractError(f"frequency must be positive, got {f}")
-    n = np.arange(cfg.n_antennas, dtype=float)
-    phase = TWO_PI * (f / cfg.wave_speed) * cfg.spacing * n * math.sin(theta)
-    return np.exp(1j * phase)

@@ -27,8 +27,6 @@ from .records import config_to_dict
 __all__ = [
     "BoundReport",
     "compute_bounds",
-    "bound_tightened_by_support",
-    "write_bounds_csv",
     "RESIDUAL_FLOOR",
 ]
 
@@ -60,7 +58,7 @@ class BoundReport:
 
 
 def _config_hash(gs: GramSystem, B: float) -> str:
-    import hashlib  # imported on use: ``convert`` needs neither it nor csv
+    import hashlib  # imported on use: ``convert`` does not need it
 
     fs = gs.function_set
     payload = config_to_dict(fs.config, fs.support, B=B, pinv=gs.pinv)
@@ -99,55 +97,3 @@ def compute_bounds(
         config_hash=_config_hash(gs, B),
         rank=gs.rank,
     )
-
-
-def bound_tightened_by_support(
-    report_no_si: BoundReport,
-    report_si: BoundReport,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Per-slot change of the residual when support information is added,
-    ``residual_with - residual_without``.
-
-    Both reports must come from the same array configuration and B; support
-    information enlarges the projection subspace, so each residual may only
-    shrink.  A violation beyond ``tol`` raises NumericalConsistencyError
-    (it indicates a pseudo-inverse cutoff discarding genuine directions).
-    """
-    r0, r1 = report_no_si.residuals, report_si.residuals
-    if r0.size != r1.size:
-        raise ContractError("reports cover different numbers of entries")
-    if report_no_si.B != report_si.B:
-        raise ContractError("reports use different norm bounds B")
-    if not np.allclose(report_no_si.norms_sq, report_si.norms_sq, atol=1e-12):
-        raise ContractError("reports come from different downlink configurations")
-
-    delta = r1 - r0
-    bad = np.flatnonzero(delta > tol)
-    if bad.size:
-        idx = bad[0]
-        raise NumericalConsistencyError(
-            f"support information increased the residual at k={idx + 1}: "
-            f"{r0[idx]:.6e} -> {r1[idx]:.6e}; the pseudo-inverse "
-            "cutoff is discarding directions this comparison needs"
-        )
-    return delta
-
-
-def write_bounds_csv(path: str, report: BoundReport) -> None:
-    """CSV schema: k, entry_kind, lag, residual, bound_generic, bound_pv0,
-    norm_gdk_sq.  Row i is slot k = i + 1: the real part of lag k - 1 for
-    k <= N, else the imaginary part of lag k - N - 1.  Floats use repr so
-    files round-trip bit-exactly."""
-    import csv
-
-    n = report.residuals.size // 2
-    columns = (report.residuals, report.bounds_generic, report.bounds_pv0,
-               report.norms_sq)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "entry_kind", "lag", "residual", "bound_generic",
-                         "bound_pv0", "norm_gdk_sq"])
-        for i, values in enumerate(zip(*(c.tolist() for c in columns))):
-            writer.writerow([i + 1, "real" if i < n else "imag", i % n,
-                             *map(repr, values)])

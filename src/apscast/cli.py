@@ -70,7 +70,7 @@ def _read_covariance(path: str) -> tuple[list[float], list[float]]:
         n = json_number(doc["n"], int, f"covariance file {path}: n")
         if n < 1:
             raise ContractError(f"covariance file {path}: n must be >= 1, got {n}")
-        re, im = (json_floats(doc[key], (n,), f"covariance file {path}: {key}")
+        re, im = (json_floats(doc[key], n, f"covariance file {path}: {key}")
                   for key in ("first_col_re", "first_col_im"))
     except KeyError as exc:
         raise ContractError(f"malformed covariance file {path}: {exc}") from exc

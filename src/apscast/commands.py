@@ -27,7 +27,8 @@ from .conversion import GramSystem, build_conversion_operator, build_gram_system
 from .documents import json_number, json_object, load_strict_json
 from .errors import ContractError
 from .experiments import (ApsModel, ApsPeak, run_fig1, run_fig2, run_fig3, two_path_model,
-                          write_fig1_csv, write_fig2_csv, write_fig3_csv, write_metadata)
+                          write_bounds_csv, write_fig1_csv, write_fig2_csv, write_fig3_csv,
+                          write_metadata)
 from .numerics import PinvSpec
 from .records import SupportSet, UlaConfig, config_to_dict, spec_from_dict, support_from_list
 
@@ -62,13 +63,17 @@ class RunConfig:
                 raise ContractError("config.aps.peaks must be a list of peak objects")
             peaks = tuple(spec_from_dict(ApsPeak, p, f"config.aps.peaks[{i}]")
                           for i, p in enumerate(aps_doc["peaks"]))
+        try:
+            aps = ApsModel(peaks=peaks, normalization=aps_doc.get("normalization", "unit_norm"))
+        except ContractError as exc:
+            raise ContractError(f"config.aps: {exc}") from exc
         return cls(
             array=spec_from_dict(UlaConfig, doc.get("array", {}), "config.array",
                                  UlaConfig.reference()),
             support=support_from_list(doc.get("support", []), "config.support"),
             B=B,
             pinv=spec_from_dict(PinvSpec, doc.get("pinv", {}), "config.pinv", PinvSpec()),
-            aps=ApsModel(peaks=peaks, normalization=aps_doc.get("normalization", "unit_norm")),
+            aps=aps,
             grid_points=grid_points,
         )
 
@@ -119,7 +124,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     gs = _gram_system(cfg)
     report = bounds_analysis.compute_bounds(gs, cfg.B)
     return _emit(args, cfg, "bounds.csv",
-                 lambda path: bounds_analysis.write_bounds_csv(path, report),
+                 lambda path: write_bounds_csv(path, report),
                  {"gram_rank": gs.rank, "L": gs.L, "config_hash": report.config_hash},
                  f" ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
 

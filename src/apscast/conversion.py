@@ -78,7 +78,9 @@ class GramSystem:
             self.singular_values[: self.rank]
 
     def quad_form(self, z: np.ndarray) -> float:
-        """z^T G^+ z."""
+        """z^T G^+ z.  With z = [r_u; 0] it is ||rho_hat||^2, the squared norm
+        of the minimum-norm estimate, which a radius bound on the consistent
+        spectra needs: ||rho - rho_hat||^2 = ||rho||^2 - ||rho_hat||^2."""
         t = self._whiten(z)
         return float(np.dot(t, t))
 

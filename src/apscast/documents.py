@@ -29,6 +29,7 @@ __all__ = [
     "ARRAY_DEFAULTS",
     "check_array",
     "support_intervals",
+    "support_pairs",
     "json_object",
     "json_number",
     "json_fields",
@@ -136,20 +137,17 @@ def json_fields(doc, kinds: dict, where: str, defaults: dict | None = None) -> d
     return values
 
 
-def json_floats(value, shape: tuple[int, ...], where: str) -> list[float]:
-    """``value``, nested lists of ``shape``, as a flat row-major list of
-    floats.  Every entry must be a JSON number as ``json.load`` gives it (an
-    int or a float; not a bool, a string or null) and finite."""
-    entries = [value]
-    for size in shape:
-        if not all(isinstance(x, list) and len(x) == size for x in entries):
-            raise ContractError(f"{where} must be nested lists of shape {shape}")
-        entries = [y for x in entries for y in x]
-    if not set(map(type, entries)) <= {int, float}:
-        bad = next(x for x in entries if type(x) not in (int, float))
+def json_floats(value, size: int, where: str) -> list[float]:
+    """``value``, a list of ``size`` entries, as floats.  Every entry must be
+    a JSON number as ``json.load`` gives it (an int or a float; not a bool,
+    a string or null) and finite."""
+    if not (isinstance(value, list) and len(value) == size):
+        raise ContractError(f"{where} must be a list of {size} numbers")
+    if not set(map(type, value)) <= {int, float}:
+        bad = next(x for x in value if type(x) not in (int, float))
         raise ContractError(f"{where} must hold numbers only, got {bad!r}")
     try:
-        floats = list(map(float, entries))
+        floats = list(map(float, value))
     except OverflowError:  # an integer literal beyond the float range
         floats = [math.inf]
     if not all(map(math.isfinite, floats)):
@@ -165,16 +163,20 @@ def array_section(doc, where: str) -> dict:
     return values
 
 
-def support_section(ivs, where: str) -> tuple[tuple[float, float], ...] | None:
-    """A list of [a, b] pairs (radians) as checked support intervals;
-    ``[]`` is None."""
+def support_pairs(ivs, where: str) -> list[list[float]]:
+    """A list of [a, b] pairs (radians) as float pairs, each end read
+    through ``json_number``; ``support_intervals`` checks the pairs."""
     if not (isinstance(ivs, list) and
             all(isinstance(p, list) and len(p) == 2 for p in ivs)):
         raise ContractError(f"{where} must be a list of [a, b] pairs")
-    if not ivs:
-        return None
-    return support_intervals([json_number(x, float, f"{where}[{i}]") for x in p]
-                             for i, p in enumerate(ivs))
+    return [[json_number(x, float, f"{where}[{i}]") for x in p] for i, p in enumerate(ivs)]
+
+
+def support_section(ivs, where: str) -> tuple[tuple[float, float], ...] | None:
+    """A list of [a, b] pairs (radians) as checked support intervals;
+    ``[]`` is None."""
+    pairs = support_pairs(ivs, where)
+    return support_intervals(pairs) if pairs else None
 
 
 def _reject_constant(token: str):
@@ -230,18 +232,12 @@ def diagonal_error(imag0: float) -> ContractError:
     )
 
 
-def _byteswap_if_big_endian(values: array) -> array:
-    """``values``, its items byte-swapped in place on a big-endian host.
-    Swapping is its own inverse, so this turns native values into
-    little-endian storage and little-endian storage into native values."""
+def float64_values(raw: bytes) -> array:
+    """Little-endian float64 bytes as an ``array('d')`` of their values."""
+    values = array("d", raw)
     if sys.byteorder != "little":
         values.byteswap()
     return values
-
-
-def float64_values(raw: bytes) -> array:
-    """Little-endian float64 bytes as an ``array('d')`` of their values."""
-    return _byteswap_if_big_endian(array("d", raw))
 
 
 class OperatorRecord:
@@ -249,8 +245,7 @@ class OperatorRecord:
 
     ``config`` holds the array fields (``ARRAY_FIELDS``) and ``support`` the
     checked intervals, or None.  ``A`` is the 2n x 2n operator as row-major,
-    little-endian float64 bytes, 8 (2n)^2 of them, whichever form the
-    document held it in.
+    little-endian float64 bytes, 8 (2n)^2 of them.
     """
 
     __slots__ = ("n", "L", "rank", "config", "support", "A", "downlink_norms_sq")
@@ -264,11 +259,11 @@ class OperatorRecord:
 
 
 def _read_A(value, n: int) -> bytes:
-    """``A`` from a document: a base64 string of 8 (2n)^2 bytes, or (earlier
-    files) nested lists, as little-endian float64 bytes."""
+    """``A`` from a document: a base64 string of 8 (2n)^2 bytes, the
+    row-major, little-endian float64 values."""
     if not isinstance(value, str):
-        values = array("d", json_floats(value, (2 * n, 2 * n), "A"))
-        return _byteswap_if_big_endian(values).tobytes()
+        raise ContractError("A must be a base64 string; "
+                            "re-export the operator with apscast export-operator")
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError as exc:
@@ -283,10 +278,10 @@ def _read_A(value, n: int) -> bytes:
 
 def operator_record(doc) -> OperatorRecord:
     """Check an operator document: ``config`` is an array section and
-    ``support`` a support set, n, L and rank are integers that agree, A is a
-    finite (2n, 2n) array (base64 or nested lists) and downlink_norms_sq a
-    list of 2n finite numbers.  Keys other than those the operator file
-    holds (such as ``G`` and ``Q`` in older files) are ignored."""
+    ``support`` a support set, n, L and rank are integers that agree, A is
+    the base64 of a finite (2n, 2n) array and downlink_norms_sq a list of 2n
+    finite numbers.  Other keys, such as the ``G`` that ``export_operator``
+    writes when given one, are ignored."""
     try:
         config = array_section(doc["config"], "config")
         support = support_section(doc.get("support", []), "support")
@@ -296,7 +291,7 @@ def operator_record(doc) -> OperatorRecord:
                 f"n = {n} does not match config.n_antennas = {config['n_antennas']}"
             )
         A = _read_A(doc["A"], n)
-        norms = json_floats(doc["downlink_norms_sq"], (2 * n,), "downlink_norms_sq")
+        norms = json_floats(doc["downlink_norms_sq"], 2 * n, "downlink_norms_sq")
     except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed operator document: {exc}") from exc
     if L < 2 * n:

@@ -48,6 +48,7 @@ __all__ = [
     "run_fig1",
     "run_fig2",
     "run_fig3",
+    "write_bounds_csv",
     "write_fig1_csv",
     "write_fig2_csv",
     "write_fig3_csv",
@@ -161,15 +162,12 @@ def two_path_model() -> ApsModel:
     ))
 
 
-def random_aps_model(
-    rng: np.random.Generator,
-    support: SupportSet,
-    max_peaks: int = 3,
-) -> ApsModel:
-    """Random unit-norm mixture strictly supported inside ``support``."""
+def random_aps_model(rng: np.random.Generator, support: SupportSet) -> ApsModel:
+    """Random unit-norm mixture of one to three peaks, strictly supported
+    inside ``support``."""
     lo, hi = support.intervals[0][0], support.intervals[-1][1]
     span = hi - lo
-    n_peaks = int(rng.integers(1, max_peaks + 1))
+    n_peaks = int(rng.integers(1, 4))
     peaks = tuple(
         ApsPeak(
             center=float(rng.uniform(lo + 0.03 * span, hi - 0.03 * span)),
@@ -432,6 +430,17 @@ def _write_columns(path: str, header: Sequence[str], *columns: Sequence) -> None
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*columns))
+
+
+def write_bounds_csv(path: str, report: BoundReport) -> None:
+    """Row i is slot k = i + 1: the real part of lag k - 1 for k <= N, else
+    the imaginary part of lag k - N - 1."""
+    n = report.residuals.size // 2
+    _write_columns(path, ["k", "entry_kind", "lag", "residual", "bound_generic",
+                          "bound_pv0", "norm_gdk_sq"],
+                   range(1, 2 * n + 1), ["real"] * n + ["imag"] * n, [*range(n)] * 2,
+                   report.residuals.tolist(), report.bounds_generic.tolist(),
+                   report.bounds_pv0.tolist(), report.norms_sq.tolist())
 
 
 def write_fig1_csv(path: str, result: Fig1Result) -> None:

@@ -245,19 +245,19 @@ def sample(funcs: Sequence[AngularFunction], nodes: np.ndarray,
     return out
 
 
-def clamp_residual_sq(rad: float, clamp: float = RESIDUAL_CLAMP) -> float:
+def clamp_residual_sq(rad: float) -> float:
     """Apply the residual clamp to a squared-residual value.
 
-    Values in [-clamp, clamp] are floating-point-indistinguishable from zero
-    and collapse to 0; values below -clamp indicate an inconsistent
-    pseudo-inverse and raise.
+    Values in [-RESIDUAL_CLAMP, RESIDUAL_CLAMP] are
+    floating-point-indistinguishable from zero and collapse to 0; values
+    below -RESIDUAL_CLAMP indicate an inconsistent pseudo-inverse and raise.
     """
-    if rad < -clamp:
+    if rad < -RESIDUAL_CLAMP:
         raise NumericalConsistencyError(
             f"squared residual {rad:.3e} is negative beyond the clamp tolerance "
-            f"{clamp:.1e}; the pseudo-inverse cutoff is too aggressive for this "
+            f"{RESIDUAL_CLAMP:.1e}; the pseudo-inverse cutoff is too aggressive for this "
             "Gram matrix"
         )
-    if abs(rad) <= clamp:
+    if abs(rad) <= RESIDUAL_CLAMP:
         return 0.0
     return rad

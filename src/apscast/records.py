@@ -9,9 +9,9 @@ The checks of both records and the JSON readers they build on are in
 ``documents``, which needs neither ``dataclasses`` nor ``typing``, so a
 cold ``convert --operator`` process checks an operator file's ``config``
 and ``support`` without loading this module.  This module imports nothing
-else of the package, so applying a stored operator never loads the build,
-and it imports numpy only inside the functions that return arrays
-(``SupportSet.contains`` and ``UlaConfig.omegas``).
+else of the package but ``errors``, so applying a stored operator never
+loads the build, and it imports numpy only inside the functions that
+return arrays (``SupportSet.contains`` and ``UlaConfig.omegas``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import typing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .documents import HALF_PI, check_array, json_fields, support_intervals, support_section
+from .documents import HALF_PI, check_array, json_fields, support_intervals, support_pairs
+from .errors import ContractError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,19 +163,28 @@ def spec_from_dict(cls, doc, where: str, base=None):
     """Read the dataclass ``cls``, whose fields are all int or float, from
     the JSON object ``doc`` through ``documents.json_fields``.  Absent fields
     come from ``base`` when given, else from the class defaults, and a field
-    with neither is an error."""
+    with neither is an error.  A value the record rejects raises its
+    ContractError with ``where`` in front."""
     kinds = typing.get_type_hints(cls)
-    if base is not None:
-        return dataclasses.replace(base, **json_fields(doc, kinds, where))
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)
-                if f.default is not dataclasses.MISSING}
-    return cls(**json_fields(doc, kinds, where, defaults))
+    defaults = None if base is not None else {
+        f.name: f.default for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING}
+    values = json_fields(doc, kinds, where, defaults)
+    try:
+        return cls(**values) if base is None else dataclasses.replace(base, **values)
+    except ContractError as exc:
+        raise ContractError(f"{where}: {exc}") from exc
 
 
 def support_from_list(ivs, where: str) -> SupportSet | None:
-    """A list of [a, b] pairs (radians) as a SupportSet; ``[]`` is None."""
-    ivs = support_section(ivs, where)
-    return None if ivs is None else SupportSet(ivs)
+    """A list of [a, b] pairs (radians) as a SupportSet; ``[]`` is None.
+    Intervals the record rejects raise its ContractError with ``where`` in
+    front."""
+    pairs = support_pairs(ivs, where)
+    try:
+        return SupportSet(pairs) if pairs else None
+    except ContractError as exc:
+        raise ContractError(f"{where}: {exc}") from exc
 
 
 def config_to_dict(array: UlaConfig, support: SupportSet | None, **sections) -> dict:

@@ -5,7 +5,7 @@ import typing
 import numpy as np
 import pytest
 
-from apscast.array_model import build_function_set, steering_vector
+from apscast.array_model import build_function_set
 from apscast.documents import ARRAY_DEFAULTS, ARRAY_FIELDS
 from apscast.errors import ContractError
 from apscast.hilbert_space import Trig, inner_product, norm_sq
@@ -117,24 +117,3 @@ class TestBesselKernelConsistency:
                 assert abs(got_r - (PI / 2) * (bessel_j0(p) + bessel_j0(q))) <= 1e-10
                 assert abs(got_j - (PI / 2) * (bessel_j0(p) - bessel_j0(q))) <= 1e-10
 
-
-class TestSteeringVector:
-    def test_broadside_is_all_ones(self, reference_cfg):
-        a = steering_vector(reference_cfg, 0.0, reference_cfg.f_up)
-        np.testing.assert_allclose(a, np.ones(reference_cfg.n_antennas))
-
-    def test_two_element_endfire(self):
-        # 2 pi f d / c = pi at theta = pi/2 gives [1, -1]
-        cfg = UlaConfig(n_antennas=2, spacing=0.5, f_up=3e8, f_down=3e8)
-        a = steering_vector(cfg, HALF_PI, cfg.f_up)
-        np.testing.assert_allclose(a, [1.0, -1.0], atol=1e-12)
-
-    def test_first_entry_always_one(self, reference_cfg, rng):
-        for _ in range(10):
-            theta = rng.uniform(-HALF_PI, HALF_PI)
-            a = steering_vector(reference_cfg, theta, reference_cfg.f_down)
-            assert a[0] == 1.0 + 0.0j
-
-    def test_domain_error(self, reference_cfg):
-        with pytest.raises(ContractError):
-            steering_vector(reference_cfg, 2.0, reference_cfg.f_up)

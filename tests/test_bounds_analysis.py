@@ -7,14 +7,10 @@ import numpy as np
 import pytest
 
 from apscast.array_model import build_function_set
-from apscast.bounds_analysis import (
-    RESIDUAL_FLOOR,
-    bound_tightened_by_support,
-    compute_bounds,
-    write_bounds_csv,
-)
+from apscast.bounds_analysis import RESIDUAL_FLOOR, compute_bounds
 from apscast.conversion import build_conversion_operator, build_gram_system
 from apscast.errors import ContractError, NumericalConsistencyError
+from apscast.experiments import write_bounds_csv
 from apscast.numerics import PinvSpec
 from apscast.records import UlaConfig
 
@@ -145,43 +141,14 @@ class TestChainSharpness:
 
 
 class TestBoundTightening:
-    def test_identical_reports_zero_deltas(self, gs_ref_no_si):
-        r = compute_bounds(gs_ref_no_si)
-        delta = bound_tightened_by_support(r, r)
-        assert np.all(delta == 0.0)
-        assert delta.shape == r.residuals.shape
-
     def test_clean_system_monotone(self, small_cfg, c_s_right):
         """At 4 antennas the support-information Gram keeps every genuine
         direction, so residuals shrink entrywise."""
         gs_no = build_gram_system(build_function_set(small_cfg, None))
         gs_si = build_gram_system(build_function_set(small_cfg, c_s_right))
         r_no, r_si = compute_bounds(gs_no), compute_bounds(gs_si)
-        delta = bound_tightened_by_support(r_no, r_si)
-        np.testing.assert_array_equal(delta, r_si.residuals - r_no.residuals)
         assert np.all(r_si.residuals <= r_no.residuals + 1e-9)
         assert r_si.residuals[0] == 0.0  # k = 1 stays exact
-
-    def test_mismatched_reports_rejected(self, gs_ref_no_si, gs_small_si):
-        a = compute_bounds(gs_ref_no_si)
-        b = compute_bounds(gs_small_si)
-        with pytest.raises(ContractError):
-            bound_tightened_by_support(a, b)
-
-    def test_different_B_rejected(self, gs_ref_no_si):
-        a = compute_bounds(gs_ref_no_si, B=1.0)
-        b = compute_bounds(gs_ref_no_si, B=2.0)
-        with pytest.raises(ContractError):
-            bound_tightened_by_support(a, b)
-
-    def test_monotonicity_violation_raises(self, gs_ref_no_si, monkeypatch):
-        a = compute_bounds(gs_ref_no_si)
-        # fabricate a "support" report with one inflated residual
-        worse = a.residuals.copy()
-        worse[4] += 1e-3
-        b = dataclasses.replace(a, residuals=worse)
-        with pytest.raises(NumericalConsistencyError, match="at k=5:"):
-            bound_tightened_by_support(a, b)
 
 
 class TestCsvEmission:

@@ -299,7 +299,8 @@ def _library_outputs(command: str, cfg: RunConfig, path: str):
     from apscast import experiments as ex
     from apscast.apply import export_operator
     from apscast.array_model import build_function_set
-    from apscast.bounds_analysis import compute_bounds, write_bounds_csv
+    from apscast.bounds_analysis import compute_bounds
+    from apscast.experiments import write_bounds_csv
     from apscast.conversion import build_conversion_operator, build_gram_system
 
     gs = build_gram_system(build_function_set(cfg.array, cfg.support), cfg.pinv)
@@ -705,10 +706,20 @@ class TestErrorPaths:
         ('{"B": "caf\xe9"}', "is not UTF-8"),  # one byte 0xe9 in latin-1
         ("[" * 10**5 + "]" * 10**5, "nested too deeply"),
         ('{"B": %s}' % ("9" * 5000), "integer literal with too many digits"),
+        ('{"array": {"n_antennas": 0}}', "config.array: n_antennas"),
+        ('{"pinv": {"rel_cutoff": 2}}', "config.pinv: rel_cutoff"),
+        ('{"aps": {"peaks": [{"center": 2.0, "scale": 0.1, "weight": 1.0}]}}',
+         "config.aps.peaks[0]: peak center"),
+        ('{"aps": {"peaks": []}}', "config.aps: ApsModel needs at least one peak"),
+        ('{"aps": {"peaks": [{"center": 0.5, "scale": 0.1, "weight": 0.0}]}}',
+         "config.aps: cannot unit-normalize"),
+        ('{"support": [[0.5, 0.2]]}', "config.support: interval [0.5, 0.2] is reversed"),
     ], ids=["fractional-int", "string-int", "string-float", "null-float",
             "overflowing-float", "removed-quad", "string-pinv", "array-not-object",
             "peak-without-scale", "string-support", "list-config",
-            "overflowing-int", "not-utf8", "deep-nesting", "5000-digit-integer"])
+            "overflowing-int", "not-utf8", "deep-nesting", "5000-digit-integer",
+            "zero-antennas", "cutoff-above-one", "peak-center-outside", "no-peaks",
+            "zero-weights", "reversed-support"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, text, key):
         """Each bad value is rejected while reading the config, with an
         ``error:`` line that names its key, and nothing is written."""
@@ -745,7 +756,8 @@ class TestErrorPaths:
         assert main(["export-operator", "--config", small_config_file,
                      "-o", str(op_path)]) == 0
         doc = json.loads(op_path.read_text())
-        doc["A"] = [[0.0 if i == 4 else 2.0] * 8 for i in range(8)]  # Im c_0 = 0
+        A = [[0.0 if i == 4 else 2.0] * 8 for i in range(8)]  # Im c_0 = 0
+        doc["A"] = base64.b64encode(np.array(A, "<f8").tobytes()).decode("ascii")
         op_path.write_text(json.dumps(doc))
         inp = tmp_path / "cov.json"
         inp.write_text(json.dumps({"n": 4, "first_col_re": [1e308] * 4,

@@ -1,8 +1,10 @@
 import base64
+import copy
 import dataclasses
 import functools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -286,6 +288,33 @@ class TestConvert:
         np.testing.assert_allclose(direct, via_aps, atol=1e-10)
 
 
+class TestPickleAndCopy:
+    @pytest.mark.parametrize("copier", [lambda x: pickle.loads(pickle.dumps(x)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_round_trip_goes_through_the_constructor(self, tmp_path, gs_ref_si, rng,
+                                                     copier):
+        """Built and loaded operators, and covariances made from their column
+        and by ``from_r_vector``, come back read-only and convert to the
+        original bytes; a copied covariance keeps no slot-order vector."""
+        op = build_conversion_operator(gs_ref_si)
+        path = tmp_path / "op.json"
+        export_operator(str(path), op)
+        cov = _random_cov(rng, op.n)
+        want = convert(op, cov).first_col.tobytes()
+        for each_op in (op, load_operator(str(path))):
+            got_op = copier(each_op)
+            with pytest.raises(ValueError):
+                got_op.A[0, 0] = 1.0
+            assert not got_op._A_interleaved.flags.writeable
+            assert got_op.A.tobytes() == op.A.tobytes()
+            for each_cov in (cov, HermitianToeplitzCov.from_r_vector(cov.to_r_vector())):
+                got_cov = copier(each_cov)
+                with pytest.raises(ValueError):
+                    got_cov.first_col[0] = 1.0
+                assert got_cov._r_vector is None
+                assert convert(got_op, got_cov).first_col.tobytes() == want
+
+
 class TestEstimateAps:
     def test_zero_input_gives_zero_estimate(self, gs_ref_si):
         est = estimate_aps(gs_ref_si, np.zeros(60))
@@ -327,37 +356,33 @@ def _built_operator(n, support):
         build_function_set(UlaConfig.reference(n), c_s)))
 
 
-def _legacy_operator_to_dict(op):
-    """The document earlier versions wrote: ``A`` as row-major nested lists."""
-    return {
-        "n": op.n,
-        "L": op.L,
-        "A": op.A.tolist(),
-        "rank": op.rank,
-        "config": dataclasses.asdict(op.config),
-        "support": [list(iv) for iv in op.support.intervals] if op.support else [],
-        "downlink_norms_sq": op.downlink_norms_sq.tolist(),
-    }
-
-
 def _b64(values) -> str:
     """Base64 of little-endian float64 bytes, as operator files hold ``A``."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
+def _decoded_A(doc) -> np.ndarray:
+    """The operator document's ``A`` as a writable (2n, 2n) array."""
+    n = doc["n"]
+    return np.frombuffer(base64.b64decode(doc["A"]), "<f8").reshape(2 * n, 2 * n).copy()
+
+
+def _A_with_first_entry(doc, value) -> str:
+    """The document's ``A`` with entry (0, 0) set to ``value``, in base64."""
+    A = _decoded_A(doc)
+    A[0, 0] = value
+    return _b64(A)
+
+
 @pytest.fixture(scope="module")
 def small_operator_doc():
-    """Operator document for N=4 with support [0, pi/2] (L = 16), in the
-    legacy list form, so that breaks can edit ``A`` entry by entry."""
+    """Operator document for N=4 with support [0, pi/2] (L = 16)."""
     fs = build_function_set(UlaConfig.reference(n_antennas=4), SupportSet([[0.0, HALF_PI]]))
-    return _legacy_operator_to_dict(build_conversion_operator(build_gram_system(fs)))
+    return operator_to_dict(build_conversion_operator(build_gram_system(fs)))
 
 
 # One broken invariant each, as a replacement of top-level keys.
 _BREAKS = {
-    "A-inf": lambda d: {"A": [[math.inf] + d["A"][0][1:]] + d["A"][1:]},
-    "A-nan": lambda d: {"A": [[math.nan] + d["A"][0][1:]] + d["A"][1:]},
-    "A-shape": lambda d: {"A": d["A"][:-1]},
     "norms-nan": lambda d: {"downlink_norms_sq": [math.nan] + d["downlink_norms_sq"][1:]},
     "norms-shape": lambda d: {"downlink_norms_sq": d["downlink_norms_sq"][:-1]},
     "L-below-2n": lambda d: {"L": 3},
@@ -369,13 +394,12 @@ _BREAKS = {
     "L-fractional": lambda d: {"L": d["L"] + 0.5},
     "rank-bool": lambda d: {"rank": True},
     "rank-string": lambda d: {"rank": str(d["rank"])},
-    "A-string": lambda d: {"A": [[str(d["A"][0][0])] + d["A"][0][1:]] + d["A"][1:]},
-    "A-bool": lambda d: {"A": [[True] + d["A"][0][1:]] + d["A"][1:]},
     "norms-string": lambda d: {"downlink_norms_sq": ["1.5"] + d["downlink_norms_sq"][1:]},
-    "A-base64-bad-character": lambda d: {"A": "!" + _b64(d["A"])[1:]},
-    "A-base64-one-float-short": lambda d: {"A": _b64(np.ravel(d["A"])[:-1])},
-    "A-base64-nan": lambda d: {"A": _b64([[math.nan] + d["A"][0][1:]] + d["A"][1:])},
-    "A-base64-inf": lambda d: {"A": _b64([[-math.inf] + d["A"][0][1:]] + d["A"][1:])},
+    "A-base64-bad-character": lambda d: {"A": "!" + d["A"][1:]},
+    "A-base64-one-float-short": lambda d: {"A": _b64(_decoded_A(d).ravel()[:-1])},
+    "A-base64-nan": lambda d: {"A": _A_with_first_entry(d, math.nan)},
+    "A-base64-inf": lambda d: {"A": _A_with_first_entry(d, -math.inf)},
+    "A-list": lambda d: {"A": _decoded_A(d).tolist()},
     "A-number": lambda d: {"A": 1.5},
     "A-null": lambda d: {"A": None},
     "config-unknown-key": lambda d: {"config": d["config"] | {"n_elements": 4}},
@@ -390,8 +414,10 @@ _BREAKS = {
     "support-reversed": lambda d: {"support": [[0.5, 0.2]]},
 }
 
-# The message of each config and support break, as the records give it.
+# The message of each config and support break, as the records give it, and
+# of a list ``A``, which asks for a re-export.
 _SECTION_MESSAGES = {
+    "A-list": "A must be a base64 string; re-export the operator with apscast export-operator",
     "config-unknown-key": "unknown keys in config: ['n_elements']",
     "config-missing-f_down": "config is missing ['f_down']",
     "config-spacing-zero": "spacing must be positive and finite, got 0.0",
@@ -459,20 +485,6 @@ class TestOperatorSerialization:
         assert loaded.A.tobytes() == op.A.tobytes()
         assert not loaded.A.flags.writeable
 
-    @pytest.mark.parametrize("support", _SUPPORTS)
-    @pytest.mark.parametrize("n", [1, 2, 30, 64])
-    def test_legacy_list_document_loads_identically(self, n, support, rng):
-        """A document with A as nested lists, as earlier versions wrote it,
-        gives the same A bytes and the same conversions as the base64 one."""
-        op = _built_operator(n, support)
-        legacy, current = (operator_from_dict(json.loads(json.dumps(doc)))
-                           for doc in (_legacy_operator_to_dict(op), operator_to_dict(op)))
-        assert legacy.A.tobytes() == current.A.tobytes() == op.A.tobytes()
-        for _ in range(3):
-            cov = _random_cov(rng, n)
-            assert convert(legacy, cov).first_col.tobytes() == \
-                convert(current, cov).first_col.tobytes()
-
     @pytest.mark.parametrize("change", _BREAKS.values(), ids=_BREAKS.keys())
     def test_inconsistent_document_rejected(self, small_operator_doc, change):
         doc = small_operator_doc
@@ -500,7 +512,8 @@ class TestOperatorSerialization:
     def test_config_and_support_messages(self, tmp_path, small_operator_doc, change,
                                          message):
         """The config and support checks give the messages of the records
-        they describe, after the file name."""
+        they describe, and a list ``A`` a message that says how to re-export
+        the file, after the file name."""
         doc = small_operator_doc
         path = tmp_path / "op.json"
         path.write_text(json.dumps(doc | _BREAKS[change](doc)))
@@ -510,7 +523,8 @@ class TestOperatorSerialization:
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_token_in_file_rejected(self, tmp_path, small_operator_doc, token):
-        text = json.dumps(small_operator_doc).replace('"A": [[', f'"A": [[{token}, ', 1)
+        text = json.dumps(small_operator_doc).replace(
+            '"downlink_norms_sq": [', f'"downlink_norms_sq": [{token}, ', 1)
         path = tmp_path / "op.json"
         path.write_text(text)
         with pytest.raises(ContractError, match=f"{token}.*not allowed"):
@@ -560,14 +574,13 @@ class TestCommandLineProduct:
         "downlink_norms_sq": [1.0, 1.0, 1.0, 1.0],
     }
 
-    @pytest.mark.parametrize("form", ["base64", "lists"])
     @pytest.mark.parametrize("support", _SUPPORTS)
     @pytest.mark.parametrize("n", [1, 4, 64])
-    def test_agrees_with_library_within_rounding(self, tmp_path, rng, n, support, form):
+    def test_agrees_with_library_within_rounding(self, tmp_path, rng, n, support):
         """Each of two dot products of length 2N is within gamma_{2N} (|A| |r|)_i
         of the exact one, so the two outputs differ by at most twice that."""
         op = _built_operator(n, support)
-        doc = operator_to_dict(op) if form == "base64" else _legacy_operator_to_dict(op)
+        doc = operator_to_dict(op)
         u = 2.0 ** -53
         gamma = 2 * n * u / (1 - 2 * n * u)
         for _ in range(3):
@@ -581,7 +594,7 @@ class TestCommandLineProduct:
     def test_non_real_diagonal_output_exits_1(self, tmp_path, capsys):
         """Row N of A gives Im c_0 of the output; a nonzero one is rejected
         by both paths, and the command line writes nothing."""
-        doc = self.LITERAL | {"A": [[1.0, 0.0, 0.0, 0.0]] * 4}
+        doc = self.LITERAL | {"A": _b64([[1.0, 0.0, 0.0, 0.0]] * 4)}
         code, got = _cli_convert(tmp_path, doc, [2.0, 1.0])
         assert code == 1 and got is None
         assert "diagonal entry must be real: imag(first_col[0]) = 2.0" in capsys.readouterr().err

@@ -68,3 +68,44 @@ def test_package_modules_have_no_unused_imports():
     assert modules
     found = [line for path in modules for line in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """The names a module's own statements define at module level: its
+    functions, classes and assigned names (not the names it imports)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_exported_name_lives_in_its_home_module():
+    """Each ``apscast._HOME`` entry names a module that defines the name and,
+    when the module has an ``__all__``, lists it there."""
+    import apscast
+
+    wrong = []
+    for name, home in sorted(apscast._HOME.items()):
+        tree = ast.parse((SRC / f"{home}.py").read_text(encoding="utf-8"))
+        if name not in _module_level_names(tree):
+            wrong.append(f"{home}: {name} is not defined there")
+        exported = _exported(tree)
+        if exported and name not in exported:
+            wrong.append(f"{home}: {name} is missing from __all__")
+    assert not wrong, "\n".join(wrong)
+
+
+def test_every_all_entry_resolves():
+    import importlib
+
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "apscast" if path.stem == "__init__" else f"apscast.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
+                    if not hasattr(module, entry)]
+    assert not missing, "unresolved __all__ entries:\n" + "\n".join(missing)
