@@ -615,6 +615,7 @@ class TestErrorPaths:
         pytest.param('"caf\xe9"', id="not-utf8"),  # one byte 0xe9 in latin-1
         pytest.param("[" * 10**5 + "]" * 10**5, id="deep-nesting"),
         pytest.param("9" * 5000, id="5000-digit-integer"),
+        pytest.param("[0.5]", id="nested-list"),
     ])
     def test_non_finite_covariance_exits_1(self, tmp_path, recip_config_file,
                                            capsys, token):

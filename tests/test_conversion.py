@@ -289,30 +289,30 @@ class TestConvert:
 
 
 class TestPickleAndCopy:
+    @pytest.mark.parametrize("source", ["built", "loaded"])
     @pytest.mark.parametrize("copier", [lambda x: pickle.loads(pickle.dumps(x)),
                                         copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_round_trip_goes_through_the_constructor(self, tmp_path, gs_ref_si, rng,
-                                                     copier):
-        """Built and loaded operators, and covariances made from their column
-        and by ``from_r_vector``, come back read-only and convert to the
-        original bytes; a copied covariance keeps no slot-order vector."""
+                                                     copier, source):
+        """A built or a loaded operator, and covariances made from their
+        column and by ``from_r_vector``, come back read-only and convert to
+        the original bytes; a copied covariance keeps no slot-order vector."""
         op = build_conversion_operator(gs_ref_si)
         path = tmp_path / "op.json"
         export_operator(str(path), op)
         cov = _random_cov(rng, op.n)
         want = convert(op, cov).first_col.tobytes()
-        for each_op in (op, load_operator(str(path))):
-            got_op = copier(each_op)
+        got_op = copier(op if source == "built" else load_operator(str(path)))
+        with pytest.raises(ValueError):
+            got_op.A[0, 0] = 1.0
+        assert not got_op._A_interleaved.flags.writeable
+        assert got_op.A.tobytes() == op.A.tobytes()
+        for each_cov in (cov, HermitianToeplitzCov.from_r_vector(cov.to_r_vector())):
+            got_cov = copier(each_cov)
             with pytest.raises(ValueError):
-                got_op.A[0, 0] = 1.0
-            assert not got_op._A_interleaved.flags.writeable
-            assert got_op.A.tobytes() == op.A.tobytes()
-            for each_cov in (cov, HermitianToeplitzCov.from_r_vector(cov.to_r_vector())):
-                got_cov = copier(each_cov)
-                with pytest.raises(ValueError):
-                    got_cov.first_col[0] = 1.0
-                assert got_cov._r_vector is None
-                assert convert(got_op, got_cov).first_col.tobytes() == want
+                got_cov.first_col[0] = 1.0
+            assert got_cov._r_vector is None
+            assert convert(got_op, got_cov).first_col.tobytes() == want
 
 
 class TestEstimateAps:
@@ -367,11 +367,16 @@ def _decoded_A(doc) -> np.ndarray:
     return np.frombuffer(base64.b64decode(doc["A"]), "<f8").reshape(2 * n, 2 * n).copy()
 
 
-def _A_with_first_entry(doc, value) -> str:
-    """The document's ``A`` with entry (0, 0) set to ``value``, in base64."""
+def _A_with_entry(doc, index, value) -> str:
+    """The document's ``A`` with entry ``index`` set to ``value``, in base64."""
     A = _decoded_A(doc)
-    A[0, 0] = value
+    A[index] = value
     return _b64(A)
+
+
+def _legacy_operator_to_dict(op):
+    """The document earlier versions wrote: ``A`` as row-major nested lists."""
+    return operator_to_dict(op) | {"A": op.A.tolist()}
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +390,7 @@ def small_operator_doc():
 _BREAKS = {
     "norms-nan": lambda d: {"downlink_norms_sq": [math.nan] + d["downlink_norms_sq"][1:]},
     "norms-shape": lambda d: {"downlink_norms_sq": d["downlink_norms_sq"][:-1]},
+    "norms-nested": lambda d: {"downlink_norms_sq": [[x] for x in d["downlink_norms_sq"]]},
     "L-below-2n": lambda d: {"L": 3},
     "rank-negative": lambda d: {"rank": -1},
     "rank-above-L": lambda d: {"rank": d["L"] + 1},
@@ -397,9 +403,14 @@ _BREAKS = {
     "norms-string": lambda d: {"downlink_norms_sq": ["1.5"] + d["downlink_norms_sq"][1:]},
     "A-base64-bad-character": lambda d: {"A": "!" + d["A"][1:]},
     "A-base64-one-float-short": lambda d: {"A": _b64(_decoded_A(d).ravel()[:-1])},
-    "A-base64-nan": lambda d: {"A": _A_with_first_entry(d, math.nan)},
-    "A-base64-inf": lambda d: {"A": _A_with_first_entry(d, -math.inf)},
+    "A-base64-nan": lambda d: {"A": _A_with_entry(d, (0, 0), math.nan)},
+    "A-base64-inf": lambda d: {"A": _A_with_entry(d, (0, 0), -math.inf)},
     "A-list": lambda d: {"A": _decoded_A(d).tolist()},
+    "A-inf": lambda d: {"A": _A_with_entry(d, (-1, -1), math.inf)},
+    "A-nan": lambda d: {"A": _A_with_entry(d, (-1, -1), math.nan)},
+    "A-shape": lambda d: {"A": _b64(_decoded_A(d)[:-1])},
+    "A-string": lambda d: {"A": ""},
+    "A-bool": lambda d: {"A": True},
     "A-number": lambda d: {"A": 1.5},
     "A-null": lambda d: {"A": None},
     "config-unknown-key": lambda d: {"config": d["config"] | {"n_elements": 4}},
@@ -484,6 +495,25 @@ class TestOperatorSerialization:
         loaded = load_operator(str(path))
         assert loaded.A.tobytes() == op.A.tobytes()
         assert not loaded.A.flags.writeable
+
+    @pytest.mark.parametrize("support", _SUPPORTS)
+    @pytest.mark.parametrize("n", [1, 2, 30, 64])
+    def test_legacy_list_document_rejected(self, tmp_path, capsys, n, support):
+        """A document with A as nested lists, as earlier versions wrote it, is
+        rejected by both readers with a message that says how to re-export
+        it, and the re-exported file loads the operator's A bit for bit."""
+        op = _built_operator(n, support)
+        code, got = _cli_convert(tmp_path, _legacy_operator_to_dict(op), [1.0] * n)
+        assert code == 1 and got is None
+        path = tmp_path / "op.json"
+        message = (f"operator file {path}: A must be a base64 string; "
+                   "re-export the operator with apscast export-operator")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(ContractError) as exc:
+            load_operator(str(path))
+        assert str(exc.value) == message
+        export_operator(str(path), op)
+        assert load_operator(str(path)).A.tobytes() == op.A.tobytes()
 
     @pytest.mark.parametrize("change", _BREAKS.values(), ids=_BREAKS.keys())
     def test_inconsistent_document_rejected(self, small_operator_doc, change):
