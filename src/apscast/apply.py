@@ -48,7 +48,7 @@ __all__ = [
 A_DTYPE = np.dtype("<f8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConversionOperator:
     """Precomputed uplink-to-downlink conversion.
 
@@ -68,7 +68,10 @@ class ConversionOperator:
     N+i; columns in slot order), so the product in ``convert`` is the
     storage of the complex first column.  That copy costs one more 2N x 2N
     float64 per operator.  Pickling and copying go back through the
-    constructor, so a loaded operator's arrays are read-only again.
+    constructor, so a loaded operator's arrays are read-only again.  Two
+    operators are ``==`` (and hash alike) when config, support, rank and L
+    are equal and ``A`` and ``downlink_norms_sq`` are equal bit for bit, as
+    for a pickled copy or a second build from the same support.
     """
 
     config: UlaConfig
@@ -77,7 +80,7 @@ class ConversionOperator:
     downlink_norms_sq: np.ndarray
     rank: int
     L: int
-    _A_interleaved: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _A_interleaved: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -97,6 +100,19 @@ class ConversionOperator:
         return type(self), (self.config, self.support, self.A,
                             self.downlink_norms_sq, self.rank, self.L)
 
+    def _key(self) -> tuple:
+        return (self.config, self.support, self.A.tobytes(),
+                np.asarray(self.downlink_norms_sq, dtype=float).tobytes(),
+                self.rank, self.L)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @property
     def n(self) -> int:
         return self.config.n_antennas
@@ -107,7 +123,7 @@ class ConversionOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class HermitianToeplitzCov:
     """N x N Hermitian Toeplitz covariance stored as its first column.
 
@@ -123,12 +139,14 @@ class HermitianToeplitzCov:
     made never changes a converted byte.  The record is slotted: it has no
     ``__dict__`` and takes no attributes beyond its two fields.  Pickling and
     copying go back through the constructor: the loaded ``first_col`` is
-    read-only, and the loaded covariance keeps no slot-order vector.
+    read-only, and the loaded covariance keeps no slot-order vector.  Two
+    covariances are ``==`` (and hash alike) when their columns are equal bit
+    for bit; the kept vector takes no part.
     """
 
     first_col: np.ndarray
     _r_vector: np.ndarray | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False)
+        default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         col = np.asarray(self.first_col, dtype=complex)
@@ -143,6 +161,14 @@ class HermitianToeplitzCov:
 
     def __reduce__(self):
         return type(self), (self.first_col,)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.first_col.tobytes() == other.first_col.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.first_col.tobytes())
 
     @property
     def n(self) -> int:

@@ -8,18 +8,24 @@ Gram matrix of the basis (uplink then constraint functions) and Q its cross
 matrix against the downlink functions.  This module builds A; applying it
 (``convert``) and its file live in ``apply``.
 
-Every quantity comes from one SVD.  The basis and the downlink kernels are
-sampled on one quadrature rule, X (samples x L) and Y (samples x 2N), so
-G = X^T X and Q = X^T Y.  With X = U S V^T truncated to the kept directions,
-A = (Y^T U_k S_k^-1 V_k^T)[:, :2N] and the squared projection residual of
-downlink slot k is ||Y_k - U_k U_k^T Y_k||^2, compared with the squared
-norm ||Y_k||^2 on the same rule.  Neither A nor the residuals pass through
-G^+, so their working condition number is sqrt(cond(G)).
+Every quantity comes from one QR and one small SVD (Chan's R-SVD).  The
+basis and the downlink kernels are sampled together on one quadrature rule,
+[X | Y] (samples x (L + 2N)), so G = X^T X and Q = X^T Y.  The triangle of
+[X | Y] = Z [R11 R12; 0 R22] holds all of it: R11 (L x L) has the singular
+values and right vectors of X, R12 = Z1^T Y is Y in an orthonormal basis of
+span(X), and R22 is the part of Y outside span(X).  With R11 = u S V^T
+truncated to the kept directions, A = (R12^T u_k S_k^-1 V_k^T)[:, :2N] and
+the squared projection residual of downlink slot k is
+||R12_k - u_k u_k^T R12_k||^2 + ||R22_k||^2, compared with the squared norm
+||Y_k||^2 on the same rule.  No samples x L factor is formed, and neither A
+nor the residuals pass through G^+, so their working condition number is
+sqrt(cond(G)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,17 +55,21 @@ __all__ = [
 class GramSystem:
     """The sampled basis system (uplink then constraints) and its truncated SVD.
 
-    ``singular_values`` are those of X, descending; the first ``rank`` are
-    kept.  ``right_vectors`` is V_k (L x rank), ``downlink_coords`` is
-    U_k^T Y (rank x 2N), ``residuals_sq`` the unclamped squared projection
-    residuals of the downlink kernels, and ``downlink_norms_sq`` their
-    squared norms, both on the rule that samples X and Y.
+    ``triangle`` is R of the QR factorization of the sampled [X | Y], with
+    min(samples, L + 2N) rows; its first L columns hold R11 with zeros
+    below, the rest R12 over R22.  ``singular_values`` are those of X (and
+    of R11), descending; the first ``rank`` are kept.  ``right_vectors`` is
+    V_k (L x rank), ``downlink_coords`` is U_k^T Y = u_k^T R12 (rank x 2N),
+    ``residuals_sq`` the unclamped squared projection residuals of the
+    downlink kernels, R22's column norms included, and ``downlink_norms_sq``
+    their squared norms, both on the rule that samples X and Y.  G = X^T X
+    and Q = X^T Y are computed from the triangle when first read; the build
+    of A reads neither.
     """
 
     function_set: FunctionSet
     basis: tuple[AngularFunction, ...]
-    G: np.ndarray
-    Q: np.ndarray
+    triangle: np.ndarray
     singular_values: np.ndarray
     rank: int
     right_vectors: np.ndarray
@@ -71,6 +81,18 @@ class GramSystem:
     @property
     def L(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """The Gram matrix X^T X = R11^T R11, exactly symmetric."""
+        r11 = self.triangle[: self.L, : self.L]
+        G = r11.T @ r11
+        return 0.5 * (G + G.T)  # exactly symmetric with any BLAS
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The cross matrix X^T Y = R11^T R12."""
+        return self.triangle[: self.L, : self.L].T @ self.triangle[: self.L, self.L:]
 
     def _whiten(self, z: np.ndarray) -> np.ndarray:
         """S_k^-1 V_k^T z, so that z^T G^+ z is its squared norm."""
@@ -90,37 +112,40 @@ class GramSystem:
 
 
 def build_gram_system(fs: FunctionSet, pinv: PinvSpec = PinvSpec()) -> GramSystem:
-    """Sample the basis and downlink kernels on one rule and factor the basis.
+    """Sample the basis and downlink kernels on one rule and factor them.
 
     Directions with ``s**2 > pinv.rel_cutoff * max(s)**2`` are kept, which is
-    the eigenvalue cutoff on G = X^T X.
+    the eigenvalue cutoff on G = X^T X.  A rule with fewer samples than
+    L + 2N gives a short triangle: R22 then has fewer rows or none, and with
+    fewer samples than L, R11 is wide and X has that many singular values.
     """
     basis = fs.basis
-    nodes, weights = sampling_rule(basis + fs.downlink)
-    X = sample(basis, nodes, weights)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    Y = sample(fs.downlink, nodes, weights)  # after the SVD: lowers peak memory
+    L = len(basis)
+    funcs = basis + fs.downlink
+    XY = sample(funcs, *sampling_rule(funcs))
+    R = np.linalg.qr(XY, mode="r")
+    u, s, Vt = np.linalg.svd(R[:L, :L], full_matrices=False)
     rank = int(np.count_nonzero(s**2 > pinv.rel_cutoff * s[0] ** 2))
-    coords = U[:, :rank].T @ Y
-    resid = Y - U[:, :rank] @ coords
-    G = X.T @ X
+    R12, R22 = R[:L, L:], R[L:, L:]
+    coords = u[:, :rank].T @ R12
+    resid = R12 - u[:, :rank] @ coords
+    Y = XY[:, L:]
     return GramSystem(
         function_set=fs,
         basis=basis,
-        G=0.5 * (G + G.T),  # exactly symmetric with any BLAS
-        Q=X.T @ Y,
+        triangle=R,
         singular_values=s,
         rank=rank,
         right_vectors=Vt[:rank].T,
         downlink_coords=coords,
-        residuals_sq=np.einsum("ij,ij->j", resid, resid),
+        residuals_sq=np.einsum("ij,ij->j", resid, resid) + np.einsum("ij,ij->j", R22, R22),
         downlink_norms_sq=np.einsum("ij,ij->j", Y, Y),
         pinv=pinv,
     )
 
 
 def build_conversion_operator(gs: GramSystem) -> ConversionOperator:
-    """Collapse the two estimation steps into A = (Y^T U_k S_k^-1 V_k^T)[:, :2N]."""
+    """Collapse the two estimation steps into A = (R12^T u_k S_k^-1 V_k^T)[:, :2N]."""
     fs = gs.function_set
     s_k = gs.singular_values[: gs.rank]
     A = (gs.downlink_coords.T / s_k) @ gs.right_vectors[: 2 * fs.n].T

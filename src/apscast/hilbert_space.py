@@ -186,9 +186,10 @@ def mask(f: AngularFunction, c_s: SupportSet) -> AngularFunction:
 # ---------------------------------------------------------------------------
 #
 # Every kernel is sampled on one piecewise Gauss-Legendre rule over (0, pi/2),
-# mirrored onto (-pi/2, 0).  Rows come in even/odd pairs
-#   sqrt(w/2) (f(t) + f(-t)),   sqrt(w/2) (f(t) - f(-t)),
-# so the column dot product is the rule applied to f g over [-pi/2, pi/2].
+# mirrored onto (-pi/2, 0).  The first half of the rows holds the even parts
+# sqrt(w/2) (f(t) + f(-t)) at every node, the second half the odd parts
+# sqrt(w/2) (f(t) - f(-t)) in the same node order, so the column dot product
+# is the rule applied to f g over [-pi/2, pi/2].
 # An unmasked cosine has an exactly zero odd part and an unmasked sine an
 # exactly zero even part, so their sampled inner product is exactly 0, as in
 # the closed form.

@@ -161,6 +161,11 @@ def test_criterion_3_bound_validity_min_norm(
              time.perf_counter() - t0)
 
 
+# Draws tried per constraint regime before criterion 4 fails; at the default
+# cutoff all 20 of 20 are accepted in each regime.
+MAX_PERTURBATION_ATTEMPTS = 200
+
+
 def test_criterion_4_bound_validity_generic(
     c_s_right, gs_ref_si, gs_ref_no_si, si_operator, no_si_operator,
     si_report, no_si_report,
@@ -178,9 +183,13 @@ def test_criterion_4_bound_validity_generic(
         fs = gs.function_set
         two_n = 2 * fs.n
         q_count = gs.L - two_n
-        done = 0
+        done = attempts = 0
         draws = _draws(c_s_right, 5, seed=4002)
         while done < 20:
+            if attempts == MAX_PERTURBATION_ATTEMPTS:
+                pytest.fail(f"criterion 4: {label} accepted only {done} of {attempts} "
+                            "perturbation draws (w_norm_sq <= 1e-10 rejects the rest)")
+            attempts += 1
             aps = draws[done % len(draws)]
             r_u = synthesize_r_vector(aps, fs.uplink)
             r_d = synthesize_r_vector(aps, fs.downlink)

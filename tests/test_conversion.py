@@ -26,7 +26,7 @@ from apscast.experiments import (
     synthesize_covariance,
     synthesize_r_vector,
 )
-from apscast.hilbert_space import inner_product_with_status
+from apscast.hilbert_space import inner_product_with_status, sample, sampling_rule
 from apscast.records import SupportSet, UlaConfig
 
 PI = math.pi
@@ -314,6 +314,33 @@ class TestPickleAndCopy:
             assert got_cov._r_vector is None
             assert convert(got_op, got_cov).first_col.tobytes() == want
 
+    def test_equality_is_a_bool_over_values(self):
+        """``==`` compares values, arrays bit for bit: a pickled copy and an
+        operator rebuilt from the same support are equal and hash alike; an
+        operator of another support, and a covariance of another column,
+        are not equal."""
+        cfg = UlaConfig.reference(4)
+
+        def build(support):
+            c_s = _SUPPORTS[support] and SupportSet(_SUPPORTS[support])
+            return build_conversion_operator(build_gram_system(build_function_set(cfg, c_s)))
+
+        op = build("right-half")
+        for same in (pickle.loads(pickle.dumps(op)), build("right-half")):
+            assert (op == same) is True
+            assert hash(op) == hash(same)
+        assert (op == build("none")) is False
+        assert (op != build("two-intervals")) is True
+        assert (op == "op") is False
+        cov = HermitianToeplitzCov.from_r_vector(
+            np.array([2.0, 0.5, -0.25, 0.1, 0.0, 0.3, -0.2, 0.05]))
+        for same in (pickle.loads(pickle.dumps(cov)), HermitianToeplitzCov(cov.first_col.copy())):
+            assert (cov == same) is True
+            assert hash(cov) == hash(same)
+        assert (convert(op, cov) == convert(pickle.loads(pickle.dumps(op)), cov)) is True
+        assert (cov == HermitianToeplitzCov(2.0 * cov.first_col)) is False
+        assert len({op, build("right-half"), build("none")}) == 2
+
 
 class TestEstimateAps:
     def test_zero_input_gives_zero_estimate(self, gs_ref_si):
@@ -346,6 +373,51 @@ class TestEstimateAps:
     def test_shape_validation(self, gs_ref_si):
         with pytest.raises(ContractError):
             estimate_aps(gs_ref_si, np.zeros(10))
+
+
+def _svd_of_x_reference(fs, rel_cutoff):
+    """The factor the build's QR replaces: a thin SVD of the sampled basis X,
+    with Y projected on the kept left singular vectors."""
+    funcs = fs.basis + fs.downlink
+    nodes, weights = sampling_rule(funcs)
+    X = sample(fs.basis, nodes, weights)
+    Y = sample(fs.downlink, nodes, weights)
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.count_nonzero(s**2 > rel_cutoff * s[0] ** 2))
+    coords = U[:, :rank].T @ Y
+    resid = Y - U[:, :rank] @ coords
+    A = (coords.T / s[:rank]) @ Vt[:rank, : 2 * fs.n]
+    return X.shape[0], s, rank, np.einsum("ij,ij->j", resid, resid), A
+
+
+class TestFactorAgainstSvdOfX:
+    """The QR-then-SVD build against a direct SVD of X, the oracle."""
+
+    @pytest.mark.parametrize("support", list(_SUPPORTS))
+    @pytest.mark.parametrize("n, spacing_scale", [(1, 1.0), (2, 1.0), (30, 1.0),
+                                                  (64, 1.0), (30, 0.05)])
+    def test_same_rank_spectrum_residuals_and_operator(self, n, spacing_scale, support):
+        cfg = UlaConfig.reference(n)
+        cfg = dataclasses.replace(cfg, spacing=cfg.spacing * spacing_scale)
+        c_s = _SUPPORTS[support] and SupportSet(_SUPPORTS[support])
+        fs = build_function_set(cfg, c_s)
+        gs = build_gram_system(fs)
+        rows, s, rank, residuals_sq, A = _svd_of_x_reference(fs, gs.pinv.rel_cutoff)
+        assert gs.triangle.shape == (min(rows, gs.L + 2 * n), gs.L + 2 * n)
+        if (n, spacing_scale, support) == (30, 0.05, "right-half"):
+            assert rows < gs.L  # a wide rule: R11 is short and R22 empty
+        assert gs.rank == rank
+        np.testing.assert_allclose(gs.singular_values, s, rtol=0, atol=1e-14 * s[0])
+        np.testing.assert_allclose(gs.residuals_sq, residuals_sq, rtol=0, atol=1e-13)
+        got = build_conversion_operator(gs).A
+        assert np.abs(got - A).max() <= 1e-12 * np.abs(A).max()
+
+    def test_G_and_Q_are_computed_when_first_read(self, gs_small_si):
+        gs = dataclasses.replace(gs_small_si)
+        assert "G" not in vars(gs) and "Q" not in vars(gs)
+        assert gs.G is gs.G and gs.Q is gs.Q
+        assert gs.G.shape == (gs.L, gs.L)
+        assert gs.Q.shape == (gs.L, 2 * gs.function_set.n)
 
 
 @functools.lru_cache(maxsize=None)
