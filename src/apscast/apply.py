@@ -26,6 +26,7 @@ import numpy as np
 
 from .documents import (
     OperatorRecord,
+    check_build,
     diagonal_error,
     dimension_error,
     operator_record,
@@ -48,6 +49,25 @@ __all__ = [
 A_DTYPE = np.dtype("<f8")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is read-only, else a read-only copy: the caller
+    may still write into its own array."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape`` whose data starts on a
+    64-byte boundary (see ``ConversionOperator``).  The buffer is 64 bytes
+    longer than the array."""
+    size = shape[0] * shape[1]
+    buf = np.empty(size + 8)
+    skip = (-buf.__array_interface__["data"][0] % 64) // 8
+    return buf[skip:skip + size].reshape(shape)
+
+
 @dataclass(frozen=True, eq=False)
 class ConversionOperator:
     """Precomputed uplink-to-downlink conversion.
@@ -57,21 +77,29 @@ class ConversionOperator:
     only on the array geometry and support information, so it is built once
     and reused for every covariance.  ``downlink_norms_sq``, ``rank`` and
     ``L`` (the basis size) describe the build; G and Q stay on the
-    ``GramSystem``.
+    ``GramSystem``.  The constructor checks them by the operator file's
+    rules, with its messages (``documents.check_build``): 2N finite
+    ``downlink_norms_sq``, ``L >= 2N`` and ``0 <= rank <= L``.
 
     ``A`` is in slot order (rows and columns 0..N-1 real parts, N..2N-1
     imaginary parts); it is what operator files hold and what callers read.
     It is read-only, so writing into ``op.A`` raises ``ValueError``; a new
     ``A`` takes ``dataclasses.replace``.  A writable array given to the
-    constructor is copied, a read-only one is kept.  Beside it the operator
-    keeps a copy with the rows interleaved (row 2i is slot i, row 2i+1 slot
-    N+i; columns in slot order), so the product in ``convert`` is the
-    storage of the complex first column.  That copy costs one more 2N x 2N
-    float64 per operator.  Pickling and copying go back through the
-    constructor, so a loaded operator's arrays are read-only again.  Two
-    operators are ``==`` (and hash alike) when config, support, rank and L
-    are equal and ``A`` and ``downlink_norms_sq`` are equal bit for bit, as
-    for a pickled copy or a second build from the same support.
+    constructor is copied, a read-only one is kept; ``downlink_norms_sq``
+    follows the same rule.  Beside it the operator keeps a copy with the
+    rows interleaved (row 2i is slot i, row 2i+1 slot N+i; columns in slot
+    order), so the product in ``convert`` is the storage of the complex
+    first column.  That copy starts on a 64-byte boundary: numpy promises
+    only 16 bytes, and OpenBLAS's gemv runs 9% / 32% / 45% longer at
+    N = 30 / 64 / 128 on a matrix that is not 32-byte aligned (single
+    thread, Xeon, OpenBLAS 0.3.31).  It costs one more 2N x 2N float64 per
+    operator, plus 64 bytes.  Every way of making an operator runs the
+    constructor, so every operator's copy is aligned: pickling and copying
+    go back through the constructor, and a loaded operator's arrays are
+    read-only again.  Two operators are ``==`` (and hash alike) when
+    config, support, rank and L are equal and ``A`` and
+    ``downlink_norms_sq`` are equal bit for bit, as for a pickled copy or a
+    second build from the same support.
     """
 
     config: UlaConfig
@@ -87,13 +115,13 @@ class ConversionOperator:
         A = np.asarray(self.A, dtype=float, order="C")
         if A.shape != (2 * n, 2 * n):
             raise ContractError(f"A must have shape ({2*n}, {2*n}), got {A.shape}")
-        if A.flags.writeable:
-            A = A.copy()  # the caller may still write into its own array
-            A.setflags(write=False)
-        rows = np.empty_like(A)
+        norms = np.asarray(self.downlink_norms_sq, dtype=float)
+        check_build(n, self.L, self.rank, norms.tolist())
+        rows = _aligned_empty(A.shape)
         rows[0::2], rows[1::2] = A[:n], A[n:]
         rows.setflags(write=False)
-        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A", _read_only(A))
+        object.__setattr__(self, "downlink_norms_sq", _read_only(norms))
         object.__setattr__(self, "_A_interleaved", rows)
 
     def __reduce__(self):
@@ -102,8 +130,7 @@ class ConversionOperator:
 
     def _key(self) -> tuple:
         return (self.config, self.support, self.A.tobytes(),
-                np.asarray(self.downlink_norms_sq, dtype=float).tobytes(),
-                self.rank, self.L)
+                self.downlink_norms_sq.tobytes(), self.rank, self.L)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -154,10 +181,7 @@ class HermitianToeplitzCov:
             raise ContractError("first_col must be a nonempty vector")
         if col[0].imag != 0.0:
             raise diagonal_error(col[0].imag)
-        if col.flags.writeable:
-            col = col.copy()  # the caller may still write into its own array
-            col.setflags(write=False)
-        object.__setattr__(self, "first_col", col)
+        object.__setattr__(self, "first_col", _read_only(col))
 
     def __reduce__(self):
         return type(self), (self.first_col,)
@@ -207,17 +231,19 @@ class HermitianToeplitzCov:
 def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToeplitzCov:
     """Uplink-to-downlink covariance conversion: one matrix-vector product.
 
-    The product runs over the operator's row-interleaved copy of ``A`` and
+    The product runs over the operator's row-interleaved copy of ``A``,
+    which starts on a 64-byte boundary (see ``ConversionOperator``), and
     writes its float64 output straight into the storage of the converted
-    complex first column.  Each entry is the same dot product as in
-    ``op.A @ r_u.to_r_vector()``, summed in the same order, so the two agree
-    bit for bit, whether ``r_u`` came from ``from_r_vector`` (whose kept
-    slot-order vector is multiplied as it is) or from its column (packed on
-    this call).  The checks run on the product: a dimension mismatch, a
-    non-real diagonal and a non-finite input raise the same ContractErrors
-    as the constructor would.  The result is a read-only
-    ``HermitianToeplitzCov`` made without running the constructor's checks
-    again; it keeps no slot-order vector.
+    complex first column.  It calls the matrix's own ``dot``, which skips
+    numpy's ``__array_function__`` dispatch of ``np.dot``.  Each entry is
+    the same dot product as in ``op.A @ r_u.to_r_vector()``, summed in the
+    same order, so the two agree bit for bit, whether ``r_u`` came from
+    ``from_r_vector`` (whose kept slot-order vector is multiplied as it is)
+    or from its column (packed on this call).  The checks run on the
+    product: a dimension mismatch, a non-real diagonal and a non-finite
+    input raise the same ContractErrors as the constructor would.  The
+    result is a read-only ``HermitianToeplitzCov`` made without running the
+    constructor's checks again; it keeps no slot-order vector.
 
     ``apscast convert`` computes the same product in plain Python, with
     ``--operator`` and ``--config`` alike (a cold process cannot afford
@@ -232,7 +258,7 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
     col = np.empty(r.size >> 1, dtype=complex)
     out = col.view(float)
     try:
-        np.dot(op._A_interleaved, r, out=out)
+        op._A_interleaved.dot(r, out=out)
     except ValueError:
         raise dimension_error(r_u.n, op.n) from None
     if out[1] != 0.0:
@@ -278,7 +304,7 @@ def _from_record(rec: OperatorRecord) -> ConversionOperator:
         config=UlaConfig(**rec.config),
         support=None if rec.support is None else SupportSet(rec.support),
         A=np.frombuffer(rec.A, dtype=A_DTYPE).reshape(2 * rec.n, 2 * rec.n),
-        downlink_norms_sq=np.array(rec.downlink_norms_sq), rank=rec.rank, L=rec.L,
+        downlink_norms_sq=rec.downlink_norms_sq, rank=rec.rank, L=rec.L,
     )
 
 

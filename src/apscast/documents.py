@@ -4,9 +4,10 @@ Every document the package reads goes through these readers: config files
 and covariance files on the command line, and operator files in the
 library's ``load_operator`` and in ``convert --operator``.
 ``operator_record`` checks a whole operator document and returns plain
-values.  The checks on an array section and a support set live here too;
-``records.UlaConfig`` and ``records.SupportSet`` run the same functions,
-so every check has one definition and one message.
+values.  The checks on an array section, a support set and a build's
+description (``check_build``) live here too; ``records.UlaConfig``,
+``records.SupportSet`` and ``apply.ConversionOperator`` run the same
+functions, so every check has one definition and one message.
 
 This module imports nothing of the package but ``errors`` and, of the
 standard library, only ``base64``, ``json``, ``math``, ``sys`` and
@@ -38,6 +39,7 @@ __all__ = [
     "support_section",
     "load_strict_json",
     "OperatorRecord",
+    "check_build",
     "operator_record",
     "read_operator_file",
     "float64_values",
@@ -276,12 +278,26 @@ def _read_A(value, n: int) -> bytes:
     return raw
 
 
+def check_build(n: int, L: int, rank: int, downlink_norms_sq) -> list[float]:
+    """``downlink_norms_sq`` as floats, after the checks on what describes
+    the build of an operator for n antennas: it is a list of 2n finite
+    numbers (read through ``json_floats``), ``L >= 2n`` and
+    ``0 <= rank <= L``.  An operator file and ``apply.ConversionOperator``
+    make these checks with the same messages."""
+    norms = json_floats(downlink_norms_sq, 2 * n, "downlink_norms_sq")
+    if L < 2 * n:
+        raise ContractError(f"L must be >= 2n = {2*n}, got {L}")
+    if not 0 <= rank <= L:
+        raise ContractError(f"rank must be in 0..L = 0..{L}, got {rank}")
+    return norms
+
+
 def operator_record(doc) -> OperatorRecord:
     """Check an operator document: ``config`` is an array section and
     ``support`` a support set, n, L and rank are integers that agree, A is
-    the base64 of a finite (2n, 2n) array and downlink_norms_sq a list of 2n
-    finite numbers.  Other keys, such as the ``G`` that ``export_operator``
-    writes when given one, are ignored."""
+    the base64 of a finite (2n, 2n) array, and ``check_build`` passes on n,
+    L, rank and downlink_norms_sq.  Other keys, such as the ``G`` that
+    ``export_operator`` writes when given one, are ignored."""
     try:
         config = array_section(doc["config"], "config")
         support = support_section(doc.get("support", []), "support")
@@ -291,13 +307,9 @@ def operator_record(doc) -> OperatorRecord:
                 f"n = {n} does not match config.n_antennas = {config['n_antennas']}"
             )
         A = _read_A(doc["A"], n)
-        norms = json_floats(doc["downlink_norms_sq"], 2 * n, "downlink_norms_sq")
+        norms = check_build(n, L, rank, doc["downlink_norms_sq"])
     except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed operator document: {exc}") from exc
-    if L < 2 * n:
-        raise ContractError(f"L must be >= 2n = {2*n}, got {L}")
-    if not 0 <= rank <= L:
-        raise ContractError(f"rank must be in 0..L = 0..{L}, got {rank}")
     return OperatorRecord(n=n, L=L, rank=rank, config=config, support=support,
                           A=A, downlink_norms_sq=norms)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from apscast.apply import (
+    ConversionOperator,
     HermitianToeplitzCov,
     convert,
     export_operator,
@@ -20,6 +21,7 @@ from apscast.apply import (
 from apscast.array_model import build_function_set
 from apscast.cli import main
 from apscast.conversion import build_conversion_operator, build_gram_system, estimate_aps
+from apscast.documents import dimension_error
 from apscast.errors import ContractError
 from apscast.experiments import (
     random_aps_model,
@@ -463,7 +465,9 @@ _BREAKS = {
     "norms-nan": lambda d: {"downlink_norms_sq": [math.nan] + d["downlink_norms_sq"][1:]},
     "norms-shape": lambda d: {"downlink_norms_sq": d["downlink_norms_sq"][:-1]},
     "norms-nested": lambda d: {"downlink_norms_sq": [[x] for x in d["downlink_norms_sq"]]},
+    "norms-one-nan": lambda d: {"downlink_norms_sq": [math.nan]},
     "L-below-2n": lambda d: {"L": 3},
+    "L-zero": lambda d: {"L": 0},
     "rank-negative": lambda d: {"rank": -1},
     "rank-above-L": lambda d: {"rank": d["L"] + 1},
     "n-vs-config": lambda d: {"config": d["config"] | {"n_antennas": 5}},
@@ -659,6 +663,79 @@ def _cli_convert(tmp_path, doc, first_col):
     got = json.loads(out.read_text())
     assert got["n"] == col.size
     return code, np.array(got["first_col_re"] + got["first_col_im"])
+
+
+def _loaded(op, path):
+    export_operator(path, op)
+    return load_operator(path)
+
+
+# Every way of making an operator from one that exists: (op, file path) -> op.
+_MAKERS = {
+    "built": lambda op, path: op,
+    "loaded": _loaded,
+    "from-dict": lambda op, path: operator_from_dict(operator_to_dict(op)),
+    "pickle": lambda op, path: pickle.loads(pickle.dumps(op)),
+    "deepcopy": lambda op, path: copy.deepcopy(op),
+    "replace": lambda op, path: dataclasses.replace(op, rank=op.rank),
+    "writable-A": lambda op, path: ConversionOperator(
+        op.config, op.support, np.array(op.A), np.array(op.downlink_norms_sq), op.rank, op.L),
+}
+
+# The breaks of what describes a build, which the constructor checks too.
+_BUILD_BREAKS = ("norms-nan", "norms-shape", "norms-nested", "norms-one-nan",
+                 "L-below-2n", "L-zero", "rank-negative", "rank-above-L")
+
+
+class TestOperatorConstruction:
+    @pytest.mark.parametrize("make", _MAKERS.values(), ids=_MAKERS.keys())
+    @pytest.mark.parametrize("n", [1, 2, 30, 64])
+    def test_interleaved_copy_is_aligned_and_read_only(self, tmp_path, rng, n, make):
+        """However an operator is made, its interleaved copy starts on a
+        64-byte boundary, is read-only, holds A's rows interleaved and
+        converts to the slot-order product's bytes; a covariance of another
+        dimension still raises ``dimension_error``'s message."""
+        op = make(_built_operator(n, "right-half"), str(tmp_path / "op.json"))
+        rows = op._A_interleaved
+        assert rows.__array_interface__["data"][0] % 64 == 0
+        assert not rows.flags.writeable and rows.flags.c_contiguous
+        assert rows[0::2].tobytes() == op.A[:n].tobytes()
+        assert rows[1::2].tobytes() == op.A[n:].tobytes()
+        cov = _random_cov(rng, n)
+        want = HermitianToeplitzCov.from_r_vector(op.A @ cov.to_r_vector())
+        assert convert(op, cov).first_col.tobytes() == want.first_col.tobytes()
+        with pytest.raises(ContractError) as exc:
+            convert(op, _random_cov(rng, n + 1))
+        assert str(exc.value) == str(dimension_error(n + 1, n))
+
+    @pytest.mark.parametrize("key", _BUILD_BREAKS)
+    def test_constructor_rejects_with_the_file_readers_message(self, small_operator_doc, key):
+        """What an operator file may not hold, the constructor rejects too,
+        with the same message."""
+        doc = small_operator_doc | _BREAKS[key](small_operator_doc)
+        with pytest.raises(ContractError) as from_file:
+            operator_from_dict(doc)
+        op = operator_from_dict(small_operator_doc)
+        with pytest.raises(ContractError) as from_constructor:
+            dataclasses.replace(op, downlink_norms_sq=np.array(doc["downlink_norms_sq"]),
+                                rank=doc["rank"], L=doc["L"])
+        assert str(from_constructor.value) == str(from_file.value)
+
+    def test_downlink_norms_are_held_read_only(self):
+        """The operator holds its own read-only ``downlink_norms_sq``: a
+        write into the Gram system's array changes neither it nor its hash,
+        a list or a writable array is copied and a read-only one is kept."""
+        cfg = UlaConfig.reference(4)
+        gs = build_gram_system(build_function_set(cfg, SupportSet([[0.0, HALF_PI]])))
+        op = build_conversion_operator(gs)
+        before, norms = hash(op), op.downlink_norms_sq.tobytes()
+        gs.downlink_norms_sq[0] += 1.0
+        assert hash(op) == before and op.downlink_norms_sq.tobytes() == norms
+        with pytest.raises(ValueError):
+            op.downlink_norms_sq[0] = 1.0
+        as_list = dataclasses.replace(op, downlink_norms_sq=op.downlink_norms_sq.tolist())
+        assert not as_list.downlink_norms_sq.flags.writeable and as_list == op
+        assert dataclasses.replace(op, rank=op.rank).downlink_norms_sq is op.downlink_norms_sq
 
 
 class TestCommandLineProduct:
