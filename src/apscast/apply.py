@@ -8,9 +8,10 @@ the SVD, bounds, experiments).
 
 The operator file is one JSON object.  ``A`` is a string: the base64
 encoding of its row-major, little-endian float64 bytes, 8 (2N)^2 bytes.
-``documents.operator_record`` makes every check on the document,
-``config`` and ``support`` included, and returns plain values, which
-``load_operator`` turns into the records and arrays here.  The command
+``export_operator`` is its one writer.  ``documents.read_operator_file``
+makes every check on a file, ``config`` and ``support`` included, and
+returns a record of plain values, from which ``load_operator`` makes the
+operator; no document is held in memory on either side.  The command
 line's ``convert --operator`` applies the same checked values without this
 module, so both accept and reject the same files with the same messages.
 """
@@ -24,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .documents import (
-    OperatorRecord,
-    check_build,
-    diagonal_error,
-    dimension_error,
-    operator_record,
-    read_operator_file,
-)
+from .documents import check_build, diagonal_error, dimension_error, read_operator_file
 from .errors import ContractError
 from .records import SupportSet, UlaConfig, config_to_dict
 
@@ -39,8 +33,6 @@ __all__ = [
     "ConversionOperator",
     "HermitianToeplitzCov",
     "convert",
-    "operator_to_dict",
-    "operator_from_dict",
     "export_operator",
     "load_operator",
 ]
@@ -79,7 +71,9 @@ class ConversionOperator:
     ``L`` (the basis size) describe the build; G and Q stay on the
     ``GramSystem``.  The constructor checks them by the operator file's
     rules, with its messages (``documents.check_build``): 2N finite
-    ``downlink_norms_sq``, ``L >= 2N`` and ``0 <= rank <= L``.
+    ``downlink_norms_sq``, integer ``L >= 2N`` and ``0 <= rank <= L``.
+    An integer of any type ``operator.index`` takes, such as
+    ``np.int64``, is kept as an ``int``.
 
     ``A`` is in slot order (rows and columns 0..N-1 real parts, N..2N-1
     imaginary parts); it is what operator files hold and what callers read.
@@ -116,10 +110,12 @@ class ConversionOperator:
         if A.shape != (2 * n, 2 * n):
             raise ContractError(f"A must have shape ({2*n}, {2*n}), got {A.shape}")
         norms = np.asarray(self.downlink_norms_sq, dtype=float)
-        check_build(n, self.L, self.rank, norms.tolist())
+        L, rank, _ = check_build(n, self.L, self.rank, norms.tolist())
         rows = _aligned_empty(A.shape)
         rows[0::2], rows[1::2] = A[:n], A[n:]
         rows.setflags(write=False)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "A", _read_only(A))
         object.__setattr__(self, "downlink_norms_sq", _read_only(norms))
         object.__setattr__(self, "_A_interleaved", rows)
@@ -204,20 +200,20 @@ class HermitianToeplitzCov:
 
     @classmethod
     def from_r_vector(cls, r: np.ndarray) -> "HermitianToeplitzCov":
-        """The covariance of the slot-order vector ``r``; it keeps its own
-        read-only copy of that vector, packed from the stored column (not
-        ``r`` itself: forming the column turns -0.0 into +0.0 and an infinite
-        imaginary part into a NaN real part)."""
-        r = np.asarray(r, dtype=float)
+        """The covariance of the slot-order vector ``r``, which it keeps as a
+        read-only copy.  ``r[:N]`` and ``r[N:]`` are written into the float
+        views of the column, so the column keeps every bit of ``r`` (-0.0,
+        infinities and NaN payloads included)."""
+        r = np.array(r, dtype=float)
         if r.ndim != 1 or r.size % 2 != 0:
             raise ContractError("r vector must have even length 2N")
         n = r.size // 2
-        col = r[:n] + 1j * r[n:]
+        col = np.empty(n, dtype=complex)
+        col.real, col.imag = r[:n], r[n:]
         col.setflags(write=False)  # no other reference: kept uncopied
         cov = cls(col)
-        kept = np.concatenate((col.real, col.imag))
-        kept.setflags(write=False)
-        object.__setattr__(cov, "_r_vector", kept)
+        r.setflags(write=False)
+        object.__setattr__(cov, "_r_vector", r)
         return cov
 
     def expand(self) -> np.ndarray:
@@ -275,13 +271,17 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
 
 
 # ---------------------------------------------------------------------------
-# Operator (de)serialization
+# Operator file
 # ---------------------------------------------------------------------------
 
 
-def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dict:
-    """The operator as a JSON-ready document, ``A`` base64-encoded.  ``G``
-    is written, as nested lists, only when given; no reader needs it."""
+def export_operator(path: str, op: ConversionOperator, G: np.ndarray | None = None) -> None:
+    """Write the operator file, ``A`` base64-encoded.  ``G`` is written, as
+    nested lists, only when given; no reader needs it.  A non-finite ``A``
+    raises ValueError before the file is opened, as any non-finite number
+    does."""
+    if not np.all(np.isfinite(op.A)):
+        raise ValueError("A must be finite to be written")
     sections = config_to_dict(op.config, op.support)
     doc = {
         "n": op.n,
@@ -294,35 +294,7 @@ def operator_to_dict(op: ConversionOperator, G: np.ndarray | None = None) -> dic
     }
     if G is not None:
         doc["G"] = np.asarray(G).tolist()
-    return doc
-
-
-def _from_record(rec: OperatorRecord) -> ConversionOperator:
-    """The operator of a checked record, its config and support built from
-    the checked values; ``A`` is a read-only view of the record's bytes."""
-    return ConversionOperator(
-        config=UlaConfig(**rec.config),
-        support=None if rec.support is None else SupportSet(rec.support),
-        A=np.frombuffer(rec.A, dtype=A_DTYPE).reshape(2 * rec.n, 2 * rec.n),
-        downlink_norms_sq=rec.downlink_norms_sq, rank=rec.rank, L=rec.L,
-    )
-
-
-def operator_from_dict(doc: dict) -> ConversionOperator:
-    """Build the operator from a document after the checks of
-    ``documents.operator_record``: config and support are valid sections,
-    n, L and rank are integers that agree, A is the base64 of a finite
-    (2n, 2n) array and downlink_norms_sq a list of 2n finite numbers.
-    Other keys, ``G`` included, are ignored."""
-    return _from_record(operator_record(doc))
-
-
-def export_operator(path: str, op: ConversionOperator, G: np.ndarray | None = None) -> None:
-    """Write the operator file; a non-finite ``A`` raises ValueError before
-    the file is opened, as any non-finite number does."""
-    if not np.all(np.isfinite(op.A)):
-        raise ValueError("A must be finite to be written")
-    text = json.dumps(operator_to_dict(op, G), allow_nan=False)
+    text = json.dumps(doc, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -330,4 +302,10 @@ def export_operator(path: str, op: ConversionOperator, G: np.ndarray | None = No
 def load_operator(path: str) -> ConversionOperator:
     """The operator of the file ``path``; every failure is a ContractError
     that names the file.  ``A`` is a read-only view of the decoded bytes."""
-    return _from_record(read_operator_file(path))
+    rec = read_operator_file(path)
+    return ConversionOperator(
+        config=UlaConfig(**rec.config),
+        support=None if rec.support is None else SupportSet(rec.support),
+        A=np.frombuffer(rec.A, dtype=A_DTYPE).reshape(2 * rec.n, 2 * rec.n),
+        downlink_norms_sq=rec.downlink_norms_sq, rank=rec.rank, L=rec.L,
+    )

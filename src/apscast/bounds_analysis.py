@@ -8,11 +8,13 @@ consistent estimator with norm bound B has per-entry error at most
 reported for the 2N first-column slots only; every other matrix entry
 shares the bound of its first-column representative by the Toeplitz
 symmetry.
+
+The report holds no config hash: ``apscast bounds`` computes it where it
+writes ``bounds_meta.json``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +24,6 @@ from .apply import ConversionOperator
 from .conversion import GramSystem
 from .errors import ContractError, NumericalConsistencyError
 from .hilbert_space import norm_sq  # noqa: F401  unused; bench/tracing.py wraps it here
-from .records import config_to_dict
 
 __all__ = [
     "BoundReport",
@@ -38,12 +39,12 @@ RESIDUAL_FLOOR = 1e-12
 @dataclass(frozen=True)
 class BoundReport:
     """Residuals and squared downlink norms of the 2N first-column slots, in
-    slot order (0..N-1 real parts, N..2N-1 imaginary parts)."""
+    slot order (0..N-1 real parts, N..2N-1 imaginary parts), with the norm
+    bound B and the Gram rank."""
 
     residuals: np.ndarray
     norms_sq: np.ndarray
     B: float
-    config_hash: str
     rank: int
 
     @property
@@ -55,14 +56,6 @@ class BoundReport:
     def bounds_generic(self) -> np.ndarray:
         """2 B res_k: the bound of any norm-bounded consistent estimate."""
         return 2.0 * self.B * self.residuals
-
-
-def _config_hash(gs: GramSystem, B: float) -> str:
-    import hashlib  # imported on use: ``convert`` does not need it
-
-    fs = gs.function_set
-    payload = config_to_dict(fs.config, fs.support, B=B, pinv=gs.pinv)
-    return hashlib.md5(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def compute_bounds(
@@ -94,6 +87,5 @@ def compute_bounds(
         residuals=residuals,
         norms_sq=gs.downlink_norms_sq,
         B=B,
-        config_hash=_config_hash(gs, B),
         rank=gs.rank,
     )

@@ -5,6 +5,8 @@ Every handler loads the config, runs its build (``_gram_system`` is the
 one Gram build) and ends in ``_emit``, so each build command writes its
 file at ``--output``, ``<stem>_meta.json`` with the config echo plus the
 command's keys (none for ``export-operator``) and one ``wrote`` line.
+``bounds`` hashes its config into ``bounds_meta.json`` here; the
+library's bound report carries no hash.
 ``cli`` imports this module on the first use of one of them, so a
 ``convert --operator`` process never compiles it.  This module loads the
 build when it is imported: every handler reads the config, and reading
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -120,12 +123,18 @@ def _emit(args: argparse.Namespace, cfg: RunConfig, name: str,
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    import hashlib  # imported on use: its OpenSSL load is ~5 ms no other command needs
+
     cfg = _load_config(args)
     gs = _gram_system(cfg)
     report = bounds_analysis.compute_bounds(gs, cfg.B)
+    # The function set's support, not cfg's: a zero-measure set hashes as none.
+    fs = gs.function_set
+    payload = config_to_dict(fs.config, fs.support, B=cfg.B, pinv=gs.pinv)
+    config_hash = hashlib.md5(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     return _emit(args, cfg, "bounds.csv",
                  lambda path: write_bounds_csv(path, report),
-                 {"gram_rank": gs.rank, "L": gs.L, "config_hash": report.config_hash},
+                 {"gram_rank": gs.rank, "L": gs.L, "config_hash": config_hash},
                  f" ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
 
 

@@ -10,15 +10,17 @@ description (``check_build``) live here too; ``records.UlaConfig``,
 functions, so every check has one definition and one message.
 
 This module imports nothing of the package but ``errors`` and, of the
-standard library, only ``base64``, ``json``, ``math``, ``sys`` and
-``array``: no numpy, ``dataclasses`` or ``typing``.  A cold ``convert
---operator`` process loads it and compiles its source when bytecode is not
-written, so it holds the readers and checks and nothing else.
+standard library, only ``base64``, ``json``, ``math``, ``operator``,
+``sys`` and ``array``: no numpy, ``dataclasses`` or ``typing``.  A cold
+``convert --operator`` process loads it and compiles its source when
+bytecode is not written, so it holds the readers and checks and nothing
+else.
 """
 
 import base64
 import json
 import math
+import operator
 import sys
 from array import array
 
@@ -278,18 +280,29 @@ def _read_A(value, n: int) -> bytes:
     return raw
 
 
-def check_build(n: int, L: int, rank: int, downlink_norms_sq) -> list[float]:
-    """``downlink_norms_sq`` as floats, after the checks on what describes
-    the build of an operator for n antennas: it is a list of 2n finite
-    numbers (read through ``json_floats``), ``L >= 2n`` and
-    ``0 <= rank <= L``.  An operator file and ``apply.ConversionOperator``
-    make these checks with the same messages."""
+def _index(value, where: str) -> int:
+    """``value`` through ``operator.index``, with ``json_number``'s message."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"{where} must be an integer, got {value!r}") from None
+
+
+def check_build(n: int, L, rank, downlink_norms_sq) -> tuple[int, int, list[float]]:
+    """``L``, ``rank`` and ``downlink_norms_sq`` as ints and floats, after
+    the checks on what describes the build of an operator for n antennas:
+    L and rank are integers (read through ``operator.index``),
+    ``downlink_norms_sq`` is a list of 2n finite numbers (read through
+    ``json_floats``), ``L >= 2n`` and ``0 <= rank <= L``.  An operator file
+    and ``apply.ConversionOperator`` make these checks with the same
+    messages."""
+    L, rank = _index(L, "L"), _index(rank, "rank")
     norms = json_floats(downlink_norms_sq, 2 * n, "downlink_norms_sq")
     if L < 2 * n:
         raise ContractError(f"L must be >= 2n = {2*n}, got {L}")
     if not 0 <= rank <= L:
         raise ContractError(f"rank must be in 0..L = 0..{L}, got {rank}")
-    return norms
+    return L, rank, norms
 
 
 def operator_record(doc) -> OperatorRecord:
@@ -307,7 +320,7 @@ def operator_record(doc) -> OperatorRecord:
                 f"n = {n} does not match config.n_antennas = {config['n_antennas']}"
             )
         A = _read_A(doc["A"], n)
-        norms = check_build(n, L, rank, doc["downlink_norms_sq"])
+        L, rank, norms = check_build(n, L, rank, doc["downlink_norms_sq"])
     except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed operator document: {exc}") from exc
     return OperatorRecord(n=n, L=L, rank=rank, config=config, support=support,

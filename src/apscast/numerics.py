@@ -253,9 +253,13 @@ def bessel_j0(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    The cache is unbounded because the orders are: ``sampling_rule`` asks
+    for at most ``ceil(0.55 * omega_max * pi / 2) + 30`` nodes (413 at
+    N = 128), and a support churn at N = 128 meets 201 distinct orders."""
     x, w = np.polynomial.legendre.leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -3,7 +3,8 @@
 ``SupportSet`` and ``UlaConfig`` describe what an operator was built for;
 the readers and writers below give every configuration record one format:
 config files, the config part of ``_meta.json``, the operator file's
-``config`` and ``support``, and the bound report's hash payload.
+``config`` and ``support`` (written by ``apply.export_operator``), and the
+payload ``apscast bounds`` hashes into ``bounds_meta.json``.
 
 The checks of both records and the JSON readers they build on are in
 ``documents``, which needs neither ``dataclasses`` nor ``typing``, so a

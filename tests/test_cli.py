@@ -1,6 +1,7 @@
 import base64
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -154,6 +155,20 @@ class TestCommands:
         # same support either way -> identical bytes
         assert (out1 / "bounds.csv").read_bytes() == (out2 / "bounds.csv").read_bytes()
 
+    def test_config_hash_distinguishes_support(self, tmp_path):
+        """``bounds_meta.json``'s ``config_hash`` differs between no support
+        and [0, pi/2], repeats for the same config, and hashes a
+        zero-measure support as no support."""
+        def config_hash(name, *support):
+            out = tmp_path / name
+            assert main(["bounds", "-o", str(out), "--support", *support]) == 0
+            return json.loads((out / "bounds_meta.json").read_text())["config_hash"]
+
+        none = config_hash("none")
+        assert none != config_hash("si", "0", str(HALF_PI))
+        assert none == config_hash("again")
+        assert none == config_hash("zero-measure", "0.3", "0.3")
+
     def test_fig_commands(self, tmp_path, small_config_file):
         out = tmp_path / "figs"
         for name in ("fig1", "fig2", "fig3"):
@@ -302,12 +317,17 @@ def _library_outputs(command: str, cfg: RunConfig, path: str):
     from apscast.bounds_analysis import compute_bounds
     from apscast.experiments import write_bounds_csv
     from apscast.conversion import build_conversion_operator, build_gram_system
+    from apscast.records import config_to_dict
 
     gs = build_gram_system(build_function_set(cfg.array, cfg.support), cfg.pinv)
     if command == "bounds":
         report = compute_bounds(gs, cfg.B)
         write_bounds_csv(path, report)
-        return ({"gram_rank": gs.rank, "L": gs.L, "config_hash": report.config_hash},
+        fs = gs.function_set
+        payload = json.dumps(config_to_dict(fs.config, fs.support, B=cfg.B, pinv=gs.pinv),
+                             sort_keys=True)
+        config_hash = hashlib.md5(payload.encode()).hexdigest()
+        return ({"gram_rank": gs.rank, "L": gs.L, "config_hash": config_hash},
                 f" ({report.residuals.size} entries, Gram rank {gs.rank}/{gs.L})")
     if command == "export-operator":
         op = build_conversion_operator(gs)

@@ -15,13 +15,11 @@ from apscast.apply import (
     convert,
     export_operator,
     load_operator,
-    operator_from_dict,
-    operator_to_dict,
 )
 from apscast.array_model import build_function_set
 from apscast.cli import main
 from apscast.conversion import build_conversion_operator, build_gram_system, estimate_aps
-from apscast.documents import dimension_error
+from apscast.documents import dimension_error, operator_record
 from apscast.errors import ContractError
 from apscast.experiments import (
     random_aps_model,
@@ -176,16 +174,15 @@ class TestHermitianToeplitzCov:
         np.testing.assert_array_equal(back.first_col, col)
 
     def test_kept_vector_is_the_packed_column(self):
-        """``from_r_vector`` keeps [Re; Im] of the stored column, bit for bit
-        what ``to_r_vector()`` returns, also where forming the column changes
-        ``r`` (-0.0 becomes +0.0, an infinite imaginary part makes the real
-        part NaN), and read-only: the caller's later writes do not reach it."""
+        """``from_r_vector`` keeps ``r`` bit for bit, -0.0, NaN and infinite
+        parts included, and that is what ``to_r_vector()`` of the stored
+        column returns; the kept copy is read-only, and the caller's later
+        writes do not reach it."""
         r = np.array([1.0, -0.0, 0.25, np.nan, -np.inf, 0.0, 0.5, np.inf, 2.0, -0.0])
-        with np.errstate(invalid="ignore"):
-            cov = HermitianToeplitzCov.from_r_vector(r)
+        cov = HermitianToeplitzCov.from_r_vector(r)
         kept = cov._r_vector
         assert kept.tobytes() == cov.to_r_vector().tobytes()
-        assert kept.tobytes() != r.tobytes()
+        assert kept.tobytes() == r.tobytes()
         assert not kept.flags.writeable
         r[:] = 7.0
         assert kept.tobytes() == cov.to_r_vector().tobytes()
@@ -448,16 +445,30 @@ def _A_with_entry(doc, index, value) -> str:
     return _b64(A)
 
 
-def _legacy_operator_to_dict(op):
+def _exported_document(op, path, G=None) -> dict:
+    """The document ``export_operator`` writes for ``op`` (and ``G``) at
+    ``path``, read back as JSON."""
+    export_operator(str(path), op, G=G)
+    return json.loads(path.read_text())
+
+
+def _load_document(doc, path) -> ConversionOperator:
+    """``load_operator`` on a file at ``path`` that holds ``doc``."""
+    path.write_text(json.dumps(doc))
+    return load_operator(str(path))
+
+
+def _legacy_document(doc):
     """The document earlier versions wrote: ``A`` as row-major nested lists."""
-    return operator_to_dict(op) | {"A": op.A.tolist()}
+    return doc | {"A": _decoded_A(doc).tolist()}
 
 
 @pytest.fixture(scope="module")
-def small_operator_doc():
+def small_operator_doc(tmp_path_factory):
     """Operator document for N=4 with support [0, pi/2] (L = 16)."""
     fs = build_function_set(UlaConfig.reference(n_antennas=4), SupportSet([[0.0, HALF_PI]]))
-    return operator_to_dict(build_conversion_operator(build_gram_system(fs)))
+    return _exported_document(build_conversion_operator(build_gram_system(fs)),
+                              tmp_path_factory.mktemp("small") / "op.json")
 
 
 # One broken invariant each, as a replacement of top-level keys.
@@ -474,6 +485,7 @@ _BREAKS = {
     "n-fractional": lambda d: {"n": d["n"] + 0.9},
     "n-string": lambda d: {"n": str(d["n"])},
     "L-fractional": lambda d: {"L": d["L"] + 0.5},
+    "rank-fractional": lambda d: {"rank": d["rank"] + 0.5},
     "rank-bool": lambda d: {"rank": True},
     "rank-string": lambda d: {"rank": str(d["rank"])},
     "norms-string": lambda d: {"downlink_norms_sq": ["1.5"] + d["downlink_norms_sq"][1:]},
@@ -517,10 +529,14 @@ _SECTION_MESSAGES = {
 
 
 class TestOperatorSerialization:
-    def test_round_trip_dict(self, gs_ref_si):
+    def test_round_trip_dict(self, tmp_path, gs_ref_si):
+        """A file written with ``G`` holds it as nested lists and loads
+        back to the operator's values; the reader ignores ``G``."""
         op = build_conversion_operator(gs_ref_si)
-        doc = operator_to_dict(op, G=gs_ref_si.G)
-        back = operator_from_dict(json.loads(json.dumps(doc)))
+        path = tmp_path / "op.json"
+        doc = _exported_document(op, path, G=gs_ref_si.G)
+        np.testing.assert_array_equal(doc["G"], gs_ref_si.G)
+        back = load_operator(str(path))
         np.testing.assert_array_equal(back.A, op.A)
         np.testing.assert_array_equal(back.downlink_norms_sq, op.downlink_norms_sq)
         assert back.L == op.L
@@ -539,19 +555,19 @@ class TestOperatorSerialization:
         b = convert(loaded, cov).first_col
         np.testing.assert_array_equal(a, b)
 
-    def test_malformed_document_rejected(self):
+    def test_malformed_document_rejected(self, tmp_path):
         with pytest.raises(ContractError):
-            operator_from_dict({"n": 2})
+            _load_document({"n": 2}, tmp_path / "op.json")
 
-    def test_older_document_with_g_and_q_loads(self, gs_ref_si, rng):
+    def test_older_document_with_g_and_q_loads(self, tmp_path, gs_ref_si, rng):
         """Files written before the slim format also carry G and Q; they load
         and convert exactly like the slim document."""
         fs = gs_ref_si.function_set
         op = build_conversion_operator(gs_ref_si)
-        slim = operator_to_dict(op)
+        slim = _exported_document(op, tmp_path / "slim.json")
         old = dict(slim, G=gs_ref_si.G.tolist(), Q=gs_ref_si.Q.tolist())
-        a = operator_from_dict(json.loads(json.dumps(slim)))
-        b = operator_from_dict(json.loads(json.dumps(old)))
+        a = load_operator(str(tmp_path / "slim.json"))
+        b = _load_document(old, tmp_path / "old.json")
         aps = random_aps_model(rng, SupportSet([[0.0, HALF_PI]]))
         cov = synthesize_covariance(aps, fs)
         np.testing.assert_array_equal(convert(a, cov).first_col,
@@ -579,7 +595,8 @@ class TestOperatorSerialization:
         rejected by both readers with a message that says how to re-export
         it, and the re-exported file loads the operator's A bit for bit."""
         op = _built_operator(n, support)
-        code, got = _cli_convert(tmp_path, _legacy_operator_to_dict(op), [1.0] * n)
+        doc = _exported_document(op, tmp_path / "slim.json")
+        code, got = _cli_convert(tmp_path, _legacy_document(doc), [1.0] * n)
         assert code == 1 and got is None
         path = tmp_path / "op.json"
         message = (f"operator file {path}: A must be a base64 string; "
@@ -592,11 +609,11 @@ class TestOperatorSerialization:
         assert load_operator(str(path)).A.tobytes() == op.A.tobytes()
 
     @pytest.mark.parametrize("change", _BREAKS.values(), ids=_BREAKS.keys())
-    def test_inconsistent_document_rejected(self, small_operator_doc, change):
+    def test_inconsistent_document_rejected(self, tmp_path, small_operator_doc, change):
         doc = small_operator_doc
-        operator_from_dict(doc)
+        _load_document(doc, tmp_path / "op.json")
         with pytest.raises(ContractError):
-            operator_from_dict(doc | change(doc))
+            _load_document(doc | change(doc), tmp_path / "op.json")
 
     @pytest.mark.parametrize("change", _BREAKS.values(), ids=_BREAKS.keys())
     def test_inconsistent_document_rejected_by_command_line(self, tmp_path, capsys,
@@ -674,7 +691,6 @@ def _loaded(op, path):
 _MAKERS = {
     "built": lambda op, path: op,
     "loaded": _loaded,
-    "from-dict": lambda op, path: operator_from_dict(operator_to_dict(op)),
     "pickle": lambda op, path: pickle.loads(pickle.dumps(op)),
     "deepcopy": lambda op, path: copy.deepcopy(op),
     "replace": lambda op, path: dataclasses.replace(op, rank=op.rank),
@@ -684,7 +700,8 @@ _MAKERS = {
 
 # The breaks of what describes a build, which the constructor checks too.
 _BUILD_BREAKS = ("norms-nan", "norms-shape", "norms-nested", "norms-one-nan",
-                 "L-below-2n", "L-zero", "rank-negative", "rank-above-L")
+                 "L-below-2n", "L-zero", "rank-negative", "rank-above-L",
+                 "L-fractional", "rank-fractional")
 
 
 class TestOperatorConstruction:
@@ -709,17 +726,28 @@ class TestOperatorConstruction:
         assert str(exc.value) == str(dimension_error(n + 1, n))
 
     @pytest.mark.parametrize("key", _BUILD_BREAKS)
-    def test_constructor_rejects_with_the_file_readers_message(self, small_operator_doc, key):
-        """What an operator file may not hold, the constructor rejects too,
-        with the same message."""
+    def test_constructor_rejects_with_the_file_readers_message(self, tmp_path,
+                                                               small_operator_doc, key):
+        """What an operator document may not hold, the constructor rejects
+        too, with the message of the file reader's document check."""
         doc = small_operator_doc | _BREAKS[key](small_operator_doc)
         with pytest.raises(ContractError) as from_file:
-            operator_from_dict(doc)
-        op = operator_from_dict(small_operator_doc)
+            operator_record(doc)
+        op = _load_document(small_operator_doc, tmp_path / "op.json")
         with pytest.raises(ContractError) as from_constructor:
             dataclasses.replace(op, downlink_norms_sq=np.array(doc["downlink_norms_sq"]),
                                 rank=doc["rank"], L=doc["L"])
         assert str(from_constructor.value) == str(from_file.value)
+
+    def test_numpy_integer_counts_are_kept_as_int(self, tmp_path):
+        """A numpy integer rank and L are accepted and kept as ``int``, so
+        the operator exports, and its file loads back equal."""
+        op = _built_operator(4, "right-half")
+        np_op = dataclasses.replace(op, rank=np.int64(op.rank), L=np.int64(op.L))
+        assert type(np_op.rank) is int and type(np_op.L) is int
+        path = tmp_path / "op.json"
+        export_operator(str(path), np_op)
+        assert load_operator(str(path)) == op
 
     def test_downlink_norms_are_held_read_only(self):
         """The operator holds its own read-only ``downlink_norms_sq``: a
@@ -759,7 +787,7 @@ class TestCommandLineProduct:
         """Each of two dot products of length 2N is within gamma_{2N} (|A| |r|)_i
         of the exact one, so the two outputs differ by at most twice that."""
         op = _built_operator(n, support)
-        doc = operator_to_dict(op)
+        doc = _exported_document(op, tmp_path / "built.json")
         u = 2.0 ** -53
         gamma = 2 * n * u / (1 - 2 * n * u)
         for _ in range(3):
@@ -777,7 +805,8 @@ class TestCommandLineProduct:
         code, got = _cli_convert(tmp_path, doc, [2.0, 1.0])
         assert code == 1 and got is None
         assert "diagonal entry must be real: imag(first_col[0]) = 2.0" in capsys.readouterr().err
-        op, cov = operator_from_dict(doc), HermitianToeplitzCov(np.array([2.0, 1.0]))
+        op = load_operator(str(tmp_path / "op.json"))
+        cov = HermitianToeplitzCov(np.array([2.0, 1.0]))
         for c in (cov, HermitianToeplitzCov.from_r_vector(cov.to_r_vector())):
             with pytest.raises(ContractError, match=r"^diagonal entry must be real: "
                                                     r"imag\(first_col\[0\]\) = 2\.0$"):
@@ -792,5 +821,6 @@ class TestCommandLineProduct:
         code, got = _cli_convert(tmp_path, doc, col)
         assert code == 0
         assert got.tolist() == [1.125, 2.0, 0.0, 3.5]
-        lib = convert(operator_from_dict(doc), HermitianToeplitzCov(np.array(col)))
+        op = load_operator(str(tmp_path / "op.json"))
+        lib = convert(op, HermitianToeplitzCov(np.array(col)))
         assert lib.to_r_vector().tolist() == got.tolist()
