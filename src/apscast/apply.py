@@ -73,7 +73,9 @@ class ConversionOperator:
     rules, with its messages (``documents.check_build``): 2N finite
     ``downlink_norms_sq``, integer ``L >= 2N`` and ``0 <= rank <= L``.
     An integer of any type ``operator.index`` takes, such as
-    ``np.int64``, is kept as an ``int``.
+    ``np.int64``, is kept as an ``int``; a bool is not a count.  ``A`` must
+    be real and finite, as in a file ("A must be finite"), so every
+    operator can be written and a NaN in ``A`` never reaches ``convert``.
 
     ``A`` is in slot order (rows and columns 0..N-1 real parts, N..2N-1
     imaginary parts); it is what operator files hold and what callers read.
@@ -106,9 +108,14 @@ class ConversionOperator:
 
     def __post_init__(self) -> None:
         n = self.n
-        A = np.asarray(self.A, dtype=float, order="C")
+        A = np.asarray(self.A)
+        if np.iscomplexobj(A):
+            raise ContractError(f"A must be real, got dtype {A.dtype}")
+        A = np.asarray(A, dtype=float, order="C")
         if A.shape != (2 * n, 2 * n):
             raise ContractError(f"A must have shape ({2*n}, {2*n}), got {A.shape}")
+        if not np.isfinite(A).all():
+            raise ContractError("A must be finite")
         norms = np.asarray(self.downlink_norms_sq, dtype=float)
         L, rank, _ = check_build(n, self.L, self.rank, norms.tolist())
         rows = _aligned_empty(A.shape)
@@ -152,6 +159,10 @@ class HermitianToeplitzCov:
 
     ``first_col`` is read-only.  A writable array given to the constructor
     is copied, a read-only one is kept, as for ``ConversionOperator.A``.
+    The column of a result of ``convert`` is the complex view of the
+    read-only float64 product that the gemv allocated, so such a record
+    holds one more array header (the float64 base) than one whose column
+    owns its data.
 
     A covariance made by ``from_r_vector`` also keeps its slot-order vector
     [Re(first_col); Im(first_col)], read-only, which ``convert`` multiplies
@@ -213,7 +224,7 @@ class HermitianToeplitzCov:
         col.setflags(write=False)  # no other reference: kept uncopied
         cov = cls(col)
         r.setflags(write=False)
-        object.__setattr__(cov, "_r_vector", r)
+        _set_r_vector(cov, r)
         return cov
 
     def expand(self) -> np.ndarray:
@@ -224,22 +235,32 @@ class HermitianToeplitzCov:
         return out
 
 
+# The slots' own setters, which a frozen record's ``__setattr__`` does not
+# reach: ``convert`` and ``from_r_vector`` fill a record through them.
+_set_first_col = HermitianToeplitzCov.first_col.__set__
+_set_r_vector = HermitianToeplitzCov._r_vector.__set__
+
+
 def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToeplitzCov:
     """Uplink-to-downlink covariance conversion: one matrix-vector product.
 
     The product runs over the operator's row-interleaved copy of ``A``,
-    which starts on a 64-byte boundary (see ``ConversionOperator``), and
-    writes its float64 output straight into the storage of the converted
-    complex first column.  It calls the matrix's own ``dot``, which skips
-    numpy's ``__array_function__`` dispatch of ``np.dot``.  Each entry is
-    the same dot product as in ``op.A @ r_u.to_r_vector()``, summed in the
-    same order, so the two agree bit for bit, whether ``r_u`` came from
-    ``from_r_vector`` (whose kept slot-order vector is multiplied as it is)
-    or from its column (packed on this call).  The checks run on the
+    which starts on a 64-byte boundary (see ``ConversionOperator``), through
+    the matrix's own ``dot``, which skips numpy's ``__array_function__``
+    dispatch of ``np.dot``.  ``dot`` allocates the 2N float64 product, which
+    is made read-only; the converted first column is its complex view, so
+    the result holds one more array header than a column that owns its data
+    (112 bytes: 1296 instead of 1184 at N = 64, as ``tracemalloc`` counts
+    them).  Each entry is the same dot product as in
+    ``op.A @ r_u.to_r_vector()``, summed in the same order, so the two
+    agree bit for bit, whether ``r_u`` came from ``from_r_vector`` (whose
+    kept slot-order vector is multiplied as it is) or from its column
+    (packed on this call).  The checks run on the
     product: a dimension mismatch, a non-real diagonal and a non-finite
     input raise the same ContractErrors as the constructor would.  The
-    result is a read-only ``HermitianToeplitzCov`` made without running the
-    constructor's checks again; it keeps no slot-order vector.
+    result is a read-only ``HermitianToeplitzCov`` whose slots are filled
+    through their descriptors, without running the constructor's checks
+    again; it keeps no slot-order vector.
 
     ``apscast convert`` computes the same product in plain Python, with
     ``--operator`` and ``--config`` alike (a cold process cannot afford
@@ -251,10 +272,8 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
     if r is None:
         c = r_u.first_col
         r = np.concatenate((c.real, c.imag))
-    col = np.empty(r.size >> 1, dtype=complex)
-    out = col.view(float)
     try:
-        op._A_interleaved.dot(r, out=out)
+        out = op._A_interleaved.dot(r)
     except ValueError:
         raise dimension_error(r_u.n, op.n) from None
     if out[1] != 0.0:
@@ -263,10 +282,10 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
         if not np.all(np.isfinite(r)):
             raise ContractError("covariance entries must be finite")
         raise diagonal_error(out[1])
-    col.setflags(write=False)  # no other reference: kept uncopied
+    out.setflags(write=False)  # no other reference: kept uncopied
     cov = object.__new__(HermitianToeplitzCov)  # the checks above are the constructor's
-    object.__setattr__(cov, "first_col", col)
-    object.__setattr__(cov, "_r_vector", None)
+    _set_first_col(cov, out.view(complex))
+    _set_r_vector(cov, None)
     return cov
 
 
@@ -277,11 +296,9 @@ def convert(op: ConversionOperator, r_u: HermitianToeplitzCov) -> HermitianToepl
 
 def export_operator(path: str, op: ConversionOperator, G: np.ndarray | None = None) -> None:
     """Write the operator file, ``A`` base64-encoded.  ``G`` is written, as
-    nested lists, only when given; no reader needs it.  A non-finite ``A``
-    raises ValueError before the file is opened, as any non-finite number
-    does."""
-    if not np.all(np.isfinite(op.A)):
-        raise ValueError("A must be finite to be written")
+    nested lists, only when given; no reader needs it.  The constructor has
+    checked ``A`` and ``downlink_norms_sq`` finite, so only a non-finite
+    ``G`` makes the write fail (ValueError, before the file is opened)."""
     sections = config_to_dict(op.config, op.support)
     doc = {
         "n": op.n,

@@ -281,7 +281,10 @@ def _read_A(value, n: int) -> bytes:
 
 
 def _index(value, where: str) -> int:
-    """``value`` through ``operator.index``, with ``json_number``'s message."""
+    """``value`` through ``operator.index``, with ``json_number``'s messages:
+    a bool, which ``operator.index`` takes as 0 or 1, is not a number."""
+    if isinstance(value, bool):
+        raise ContractError(f"{where} must be a number, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:
@@ -291,7 +294,8 @@ def _index(value, where: str) -> int:
 def check_build(n: int, L, rank, downlink_norms_sq) -> tuple[int, int, list[float]]:
     """``L``, ``rank`` and ``downlink_norms_sq`` as ints and floats, after
     the checks on what describes the build of an operator for n antennas:
-    L and rank are integers (read through ``operator.index``),
+    L and rank are integers (read through ``operator.index``, bools
+    excluded),
     ``downlink_norms_sq`` is a list of 2n finite numbers (read through
     ``json_floats``), ``L >= 2n`` and ``0 <= rank <= L``.  An operator file
     and ``apply.ConversionOperator`` make these checks with the same

@@ -5,6 +5,8 @@ import functools
 import json
 import math
 import pickle
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -211,22 +213,70 @@ class TestConvert:
                 with pytest.raises(ContractError, match=message):
                     convert(op, cov)
 
-    def test_converted_record_is_read_only(self, gs_ref_si, rng):
+    @pytest.mark.parametrize("by_r", [False, True], ids=["from-column", "from-r-vector"])
+    @pytest.mark.parametrize("n", [1, 2, 30, 64])
+    def test_converted_record_is_read_only(self, rng, n, by_r):
         """The result is made without the constructor; it is still frozen,
-        slotted and read-only, and keeps no slot-order vector."""
-        out = convert(build_conversion_operator(gs_ref_si), _random_cov(rng, 30))
+        slotted and read-only, keeps no slot-order vector, and its column is
+        complex128 storage of its own: C-contiguous, aligned, read-only also
+        through its float64 base, and sharing memory with neither the
+        operator, the input nor the previous result."""
+        op = _built_operator(n, "right-half")
+        covs = [_random_cov(rng, n) for _ in range(2)]
+        if by_r:
+            covs = [HermitianToeplitzCov.from_r_vector(c.to_r_vector()) for c in covs]
+        prev, out = (convert(op, c) for c in covs)
+        cov = covs[1]
         for name in ("first_col", "_r_vector"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(out, name, np.zeros(30, dtype=complex))
+                setattr(out, name, np.zeros(n, dtype=complex))
         # Python 3.11's frozen, slotted __setattr__ raises TypeError, not
         # FrozenInstanceError, for a name that is not a field.
         with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
             out.extra = 1
+        col = out.first_col
         with pytest.raises(ValueError):
-            out.first_col[1] = 0
+            col[0] = 0
+        with pytest.raises(ValueError):
+            col.base[0] = 0.0
         assert type(out) is HermitianToeplitzCov and out._r_vector is None
         assert not hasattr(out, "__dict__") and "_r_vector" not in repr(out)
-        assert out.first_col.dtype == complex and out.first_col.shape == (30,)
+        assert col.dtype == np.complex128 and col.shape == (n,)
+        assert col.flags.c_contiguous and col.flags.aligned and not col.flags.writeable
+        others = [op.A, op._A_interleaved, cov.first_col, prev.first_col]
+        if by_r:
+            others.append(cov._r_vector)
+        assert not any(np.shares_memory(col, other) for other in others)
+
+    @pytest.mark.parametrize("by_r", [False, True], ids=["from-column", "from-r-vector"])
+    @pytest.mark.parametrize("n", [1, 2, 30, 64])
+    def test_one_call_leaves_one_block(self, rng, n, by_r):
+        """After one call exactly one new numpy data block is alive, the 16N
+        bytes of the converted column, whichever way the input was made:
+        nothing else is kept or cached per call."""
+        op = _built_operator(n, "right-half")
+        cov = _random_cov(rng, n)
+        if by_r:
+            cov = HermitianToeplitzCov.from_r_vector(cov.to_r_vector())
+        convert(op, cov)
+        numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+        def blocks():
+            snap = tracemalloc.take_snapshot().filter_traces(numpy_data)
+            return Counter(trace.size for trace in snap.traces)
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = blocks()
+            out = convert(op, cov)
+            after = blocks()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert after - before == Counter({16 * n: 1}) and not before - after
+        assert out.first_col.nbytes == 16 * n
 
     @pytest.mark.parametrize("support", _SUPPORTS.values(), ids=_SUPPORTS.keys())
     @pytest.mark.parametrize("n", [1, 2, 30, 64])
@@ -487,6 +537,7 @@ _BREAKS = {
     "L-fractional": lambda d: {"L": d["L"] + 0.5},
     "rank-fractional": lambda d: {"rank": d["rank"] + 0.5},
     "rank-bool": lambda d: {"rank": True},
+    "L-bool": lambda d: {"L": True},
     "rank-string": lambda d: {"rank": str(d["rank"])},
     "norms-string": lambda d: {"downlink_norms_sq": ["1.5"] + d["downlink_norms_sq"][1:]},
     "A-base64-bad-character": lambda d: {"A": "!" + d["A"][1:]},
@@ -496,6 +547,8 @@ _BREAKS = {
     "A-list": lambda d: {"A": _decoded_A(d).tolist()},
     "A-inf": lambda d: {"A": _A_with_entry(d, (-1, -1), math.inf)},
     "A-nan": lambda d: {"A": _A_with_entry(d, (-1, -1), math.nan)},
+    "A-row-N-nan": lambda d: {"A": _A_with_entry(d, (d["n"], 0), math.nan)},
+    "A-row-N-inf": lambda d: {"A": _A_with_entry(d, (d["n"], 0), math.inf)},
     "A-shape": lambda d: {"A": _b64(_decoded_A(d)[:-1])},
     "A-string": lambda d: {"A": ""},
     "A-bool": lambda d: {"A": True},
@@ -654,11 +707,15 @@ class TestOperatorSerialization:
             load_operator(str(path))
 
     def test_export_writes_strict_json(self, tmp_path, gs_ref_si):
+        """No non-finite number reaches a file: the constructor rejects a
+        non-finite ``A``, and a non-finite ``G`` fails the write before the
+        file is opened."""
         op = build_conversion_operator(gs_ref_si)
-        bad = dataclasses.replace(op, A=np.full_like(op.A, np.inf))
+        with pytest.raises(ContractError, match="^A must be finite$"):
+            dataclasses.replace(op, A=np.full_like(op.A, np.inf))
         path = tmp_path / "op.json"
         with pytest.raises(ValueError):
-            export_operator(str(path), bad)
+            export_operator(str(path), op, G=np.full((2, 2), np.inf))
         assert not path.exists()
 
 
@@ -698,10 +755,13 @@ _MAKERS = {
         op.config, op.support, np.array(op.A), np.array(op.downlink_norms_sq), op.rank, op.L),
 }
 
-# The breaks of what describes a build, which the constructor checks too.
+# The breaks the constructor checks too: of what describes the build, and of
+# a non-finite ``A``.
 _BUILD_BREAKS = ("norms-nan", "norms-shape", "norms-nested", "norms-one-nan",
                  "L-below-2n", "L-zero", "rank-negative", "rank-above-L",
-                 "L-fractional", "rank-fractional")
+                 "L-fractional", "rank-fractional", "rank-bool", "L-bool",
+                 "A-base64-nan", "A-base64-inf", "A-nan", "A-inf",
+                 "A-row-N-nan", "A-row-N-inf")
 
 
 class TestOperatorConstruction:
@@ -729,15 +789,26 @@ class TestOperatorConstruction:
     def test_constructor_rejects_with_the_file_readers_message(self, tmp_path,
                                                                small_operator_doc, key):
         """What an operator document may not hold, the constructor rejects
-        too, with the message of the file reader's document check."""
+        too, with the message of the file reader's document check.  A
+        non-finite ``A`` in slot 0 would pass through ``convert`` unnoticed,
+        and one in row N would be reported as a non-real diagonal."""
         doc = small_operator_doc | _BREAKS[key](small_operator_doc)
         with pytest.raises(ContractError) as from_file:
             operator_record(doc)
         op = _load_document(small_operator_doc, tmp_path / "op.json")
         with pytest.raises(ContractError) as from_constructor:
-            dataclasses.replace(op, downlink_norms_sq=np.array(doc["downlink_norms_sq"]),
+            dataclasses.replace(op, A=_decoded_A(doc),
+                                downlink_norms_sq=np.array(doc["downlink_norms_sq"]),
                                 rank=doc["rank"], L=doc["L"])
         assert str(from_constructor.value) == str(from_file.value)
+
+    def test_complex_A_rejected(self):
+        """A complex ``A`` is rejected, not cut to its real part, even when
+        its imaginary parts are zero."""
+        op = _built_operator(4, "right-half")
+        for A in (op.A + 0.5j, op.A.astype(complex), (op.A + 0j).tolist()):
+            with pytest.raises(ContractError, match="^A must be real, got dtype complex128$"):
+                dataclasses.replace(op, A=A)
 
     def test_numpy_integer_counts_are_kept_as_int(self, tmp_path):
         """A numpy integer rank and L are accepted and kept as ``int``, so
