@@ -50,6 +50,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real(x, name: str) -> np.ndarray:
+    """``x`` as an array; a complex ``x`` is rejected, not cut to its real part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ContractError(f"{name} must be real, got dtype {x.dtype}")
+    return x
+
+
 def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
     """An uninitialised float64 array of ``shape`` whose data starts on a
     64-byte boundary (see ``ConversionOperator``).  The buffer is 64 bytes
@@ -70,7 +78,7 @@ class ConversionOperator:
     and reused for every covariance.  ``downlink_norms_sq``, ``rank`` and
     ``L`` (the basis size) describe the build; G and Q stay on the
     ``GramSystem``.  The constructor checks them by the operator file's
-    rules, with its messages (``documents.check_build``): 2N finite
+    rules, with its messages (``documents.check_build``): 2N real, finite
     ``downlink_norms_sq``, integer ``L >= 2N`` and ``0 <= rank <= L``.
     An integer of any type ``operator.index`` takes, such as
     ``np.int64``, is kept as an ``int``; a bool is not a count.  ``A`` must
@@ -108,15 +116,12 @@ class ConversionOperator:
 
     def __post_init__(self) -> None:
         n = self.n
-        A = np.asarray(self.A)
-        if np.iscomplexobj(A):
-            raise ContractError(f"A must be real, got dtype {A.dtype}")
-        A = np.asarray(A, dtype=float, order="C")
+        A = np.asarray(_real(self.A, "A"), dtype=float, order="C")
         if A.shape != (2 * n, 2 * n):
             raise ContractError(f"A must have shape ({2*n}, {2*n}), got {A.shape}")
         if not np.isfinite(A).all():
             raise ContractError("A must be finite")
-        norms = np.asarray(self.downlink_norms_sq, dtype=float)
+        norms = np.asarray(_real(self.downlink_norms_sq, "downlink_norms_sq"), dtype=float)
         L, rank, _ = check_build(n, self.L, self.rank, norms.tolist())
         rows = _aligned_empty(A.shape)
         rows[0::2], rows[1::2] = A[:n], A[n:]
@@ -215,7 +220,7 @@ class HermitianToeplitzCov:
         read-only copy.  ``r[:N]`` and ``r[N:]`` are written into the float
         views of the column, so the column keeps every bit of ``r`` (-0.0,
         infinities and NaN payloads included)."""
-        r = np.array(r, dtype=float)
+        r = np.array(_real(r, "r vector"), dtype=float)
         if r.ndim != 1 or r.size % 2 != 0:
             raise ContractError("r vector must have even length 2N")
         n = r.size // 2

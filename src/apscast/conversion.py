@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .apply import ConversionOperator
+from .apply import ConversionOperator, _real
 from .array_model import FunctionSet
 from .errors import ContractError
 from .hilbert_space import (
@@ -185,7 +185,7 @@ def estimate_aps(gs: GramSystem, r_u: np.ndarray) -> ApsEstimate:
     """Minimum-norm spectrum consistent with r_u and with the support
     constraints, whose values are all 0."""
     two_n = 2 * gs.function_set.n
-    r_u = np.asarray(r_u, dtype=float)
+    r_u = np.asarray(_real(r_u, "r_u"), dtype=float)
     if r_u.shape != (two_n,):
         raise ContractError(f"r_u must have shape ({two_n},), got {r_u.shape}")
     alpha = gs.apply_pinv(np.concatenate([r_u, np.zeros(gs.L - two_n)]))

@@ -145,9 +145,11 @@ class UlaConfig:
         )
 
     def omegas(self, side: str) -> np.ndarray:
-        """Kernel frequencies 2 pi (f d / c) (k - 1), k = 1..N."""
+        """Kernel frequencies 2 pi (f d / c) (k - 1), k = 1..N, of "uplink" or "downlink"."""
         import numpy as np
 
+        if side not in ("uplink", "downlink"):
+            raise ContractError(f"side must be 'uplink' or 'downlink', got {side!r}")
         s = self.spacing_up if side == "uplink" else self.spacing_down
         return TWO_PI * s * np.arange(self.n_antennas, dtype=float)
 

@@ -27,6 +27,13 @@ class TestUlaConfig:
         with pytest.raises(ContractError):
             UlaConfig(n_antennas=2, spacing=-0.1, f_up=1e9, f_down=1e9)
 
+    def test_omegas_rejects_unknown_side(self, reference_cfg):
+        """Only "uplink" and "downlink" name a side; any other string used
+        to give the downlink frequencies."""
+        for side in ("up", "down", "Uplink", ""):
+            with pytest.raises(ContractError, match="^side must be 'uplink' or 'downlink'"):
+                reference_cfg.omegas(side)
+
     def test_document_field_table_matches_declaration(self):
         """Operator documents read the array section from a field table
         beside ``UlaConfig``; it names the same fields, in order, with the

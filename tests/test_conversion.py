@@ -169,6 +169,12 @@ class TestHermitianToeplitzCov:
         c.setflags(write=False)
         assert HermitianToeplitzCov(c).first_col is c
 
+    def test_complex_r_vector_rejected(self):
+        """A complex ``r`` is rejected, not cut to its real part."""
+        with pytest.raises(ContractError,
+                           match="^r vector must be real, got dtype complex128$"):
+            HermitianToeplitzCov.from_r_vector([1 + 2j, 0, 0, 0])
+
     def test_r_vector_round_trip(self):
         col = np.array([2.0, 0.3 - 0.4j, -0.1 + 0.2j])
         cov = HermitianToeplitzCov(col)
@@ -422,6 +428,11 @@ class TestEstimateAps:
     def test_shape_validation(self, gs_ref_si):
         with pytest.raises(ContractError):
             estimate_aps(gs_ref_si, np.zeros(10))
+
+    def test_complex_uplink_rejected(self, gs_ref_si):
+        """A complex ``r_u`` is rejected, not cut to its real part."""
+        with pytest.raises(ContractError, match="^r_u must be real, got dtype complex128$"):
+            estimate_aps(gs_ref_si, np.zeros(60) + 0.5j)
 
 
 def _svd_of_x_reference(fs, rel_cutoff):
@@ -803,12 +814,15 @@ class TestOperatorConstruction:
         assert str(from_constructor.value) == str(from_file.value)
 
     def test_complex_A_rejected(self):
-        """A complex ``A`` is rejected, not cut to its real part, even when
-        its imaginary parts are zero."""
+        """A complex ``A`` or ``downlink_norms_sq`` is rejected, not cut to
+        its real part, even when its imaginary parts are zero."""
         op = _built_operator(4, "right-half")
-        for A in (op.A + 0.5j, op.A.astype(complex), (op.A + 0j).tolist()):
-            with pytest.raises(ContractError, match="^A must be real, got dtype complex128$"):
-                dataclasses.replace(op, A=A)
+        cases = [("A", A) for A in (op.A + 0.5j, op.A.astype(complex), (op.A + 0j).tolist())]
+        cases.append(("downlink_norms_sq", op.downlink_norms_sq + 0.5j))
+        for name, value in cases:
+            with pytest.raises(ContractError,
+                               match=f"^{name} must be real, got dtype complex128$"):
+                dataclasses.replace(op, **{name: value})
 
     def test_numpy_integer_counts_are_kept_as_int(self, tmp_path):
         """A numpy integer rank and L are accepted and kept as ``int``, so
