@@ -26,7 +26,6 @@ _HOME = {
     "export_operator": "apply",
     "load_operator": "apply",
     "PinvSpec": "numerics",
-    "QuadratureSpec": "numerics",
     "bessel_j0": "numerics",
     "integrate": "numerics",
     "pinv_psd": "numerics",
@@ -46,7 +45,7 @@ _HOME = {
     "ApsModel": "experiments",
     "ApsPeak": "experiments",
     "OracleSpec": "experiments",
-    "oracle_residual": "experiments",
+    "oracle_residuals": "experiments",
     "random_aps_model": "experiments",
     "run_fig1": "experiments",
     "run_fig2": "experiments",

@@ -4,7 +4,8 @@
 Every handler loads the config, runs its build (``_gram_system`` is the
 one Gram build) and ends in ``_emit``, so each build command writes its
 file at ``--output``, ``<stem>_meta.json`` with the config echo plus the
-command's keys (none for ``export-operator``) and one ``wrote`` line.
+command's keys (none for ``export-operator``, whose echo records the
+``pinv`` cutoff the operator file does not) and one ``wrote`` line.
 ``bounds`` hashes its config into ``bounds_meta.json`` here; the
 library's bound report carries no hash.
 ``cli`` imports this module on the first use of one of them, so a
@@ -111,13 +112,12 @@ def _build_operator(cfg: RunConfig) -> ConversionOperator:
 
 
 def _emit(args: argparse.Namespace, cfg: RunConfig, name: str,
-          write: Callable[[str], None], meta: dict | None = None, note: str = "") -> int:
+          write: Callable[[str], None], meta: dict, note: str = "") -> int:
     """The output step of every build command: ``write(path)``, ``cfg`` plus
-    ``meta`` as ``<stem>_meta.json`` (unless None) and the ``wrote`` line."""
+    ``meta`` as ``<stem>_meta.json`` and the ``wrote`` line."""
     path = _out_path(args, name)
     write(path)
-    if meta is not None:
-        write_metadata(os.path.splitext(path)[0] + "_meta.json", cfg.to_dict() | meta)
+    write_metadata(os.path.splitext(path)[0] + "_meta.json", cfg.to_dict() | meta)
     print(f"wrote {path}{note}")
     return 0
 
@@ -167,7 +167,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 def _cmd_export_operator(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     op = _build_operator(cfg)
-    return _emit(args, cfg, "operator.json", lambda path: export_operator(path, op),
+    return _emit(args, cfg, "operator.json", lambda path: export_operator(path, op), {},
                  note=f" (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})")
 
 

@@ -68,7 +68,6 @@ class GramSystem:
     """
 
     function_set: FunctionSet
-    basis: tuple[AngularFunction, ...]
     triangle: np.ndarray
     singular_values: np.ndarray
     rank: int
@@ -80,7 +79,7 @@ class GramSystem:
 
     @property
     def L(self) -> int:
-        return len(self.basis)
+        return len(self.function_set.basis)
 
     @cached_property
     def G(self) -> np.ndarray:
@@ -132,7 +131,6 @@ def build_gram_system(fs: FunctionSet, pinv: PinvSpec = PinvSpec()) -> GramSyste
     Y = XY[:, L:]
     return GramSystem(
         function_set=fs,
-        basis=basis,
         triangle=R,
         singular_values=s,
         rank=rank,
@@ -189,4 +187,4 @@ def estimate_aps(gs: GramSystem, r_u: np.ndarray) -> ApsEstimate:
     if r_u.shape != (two_n,):
         raise ContractError(f"r_u must have shape ({two_n},), got {r_u.shape}")
     alpha = gs.apply_pinv(np.concatenate([r_u, np.zeros(gs.L - two_n)]))
-    return ApsEstimate(basis=gs.basis, coefficients=alpha)
+    return ApsEstimate(basis=gs.function_set.basis, coefficients=alpha)

@@ -187,12 +187,25 @@ def _reject_constant(token: str):
     raise ContractError(f"non-finite number {token} is not allowed")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's key-value pairs as a dict; a key given twice is an
+    error, where ``json`` would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ContractError(f"duplicate key {key!r}")
+    return doc
+
+
 def load_strict_json(path: str, what: str):
-    """Parse ``path`` as strict JSON (UTF-8, no NaN or Infinity tokens).
-    Every failure is a ContractError that names ``what`` and the file."""
+    """Parse ``path`` as strict JSON (UTF-8, no NaN or Infinity tokens, no
+    key twice in one object).  Every failure is a ContractError that names
+    ``what`` and the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant,
+                             object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ContractError(f"cannot read {what} {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

@@ -4,8 +4,9 @@ Reproduces the three reference studies as data files:
   fig1  - certified per-entry bounds with and without support information,
   fig2  - realized conversion errors for a two-path spectrum model,
   fig3  - the true spectrum against both minimum-norm estimates on a grid,
-plus an independent finite-dimensional projection oracle used to verify the
-closed-form residual machinery.
+plus the grid oracle ``oracle_residuals``: an independent finite-dimensional
+projection, one SVD of the basis and one projection of every target, that
+checks the engine's residuals.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ __all__ = [
     "random_aps_model",
     "synthesize_r_vector",
     "synthesize_covariance",
-    "oracle_residual",
+    "oracle_residuals",
     "Fig1Result",
     "Fig2Result",
     "Fig3Result",
@@ -245,7 +245,7 @@ def _gregory_weights(intervals: int, h: float) -> np.ndarray:
 
 
 def _piecewise_nodes_weights(
-    spec: OracleSpec, boundaries: Sequence[float]
+    spec: OracleSpec, boundaries: Iterable[float]
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """(nodes, Gregory weights, midpoint) per smooth piece."""
     edges = sorted({-HALF_PI, HALF_PI, *(b for b in boundaries if -HALF_PI < b < HALF_PI)})
@@ -265,44 +265,37 @@ def _live_values(f: AngularFunction, nodes: np.ndarray, mid: float) -> np.ndarra
     return f.kernel_values(nodes)
 
 
-@lru_cache(maxsize=1)
-def _oracle_range(basis: tuple[AngularFunction, ...], boundaries: tuple[float, ...],
-                  spec: OracleSpec, rel_cutoff: float):
-    """The grid pieces and the kept left singular vectors U_k of the
-    sqrt(w)-weighted basis samples; cached, as checks call the oracle once
-    per downlink slot with one basis."""
-    pieces = _piecewise_nodes_weights(spec, boundaries)
-    weighted = np.concatenate([
-        np.sqrt(w)[:, None] * np.column_stack([_live_values(f, nodes, mid) for f in basis])
-        for nodes, w, mid in pieces])
-    U, s, _ = np.linalg.svd(weighted, full_matrices=False)
-    U_k = U[:, : int(np.count_nonzero(s**2 > rel_cutoff * s[0] ** 2))]
-    U_k.setflags(write=False)
-    return pieces, U_k
-
-
-def oracle_residual(
-    y: AngularFunction,
+def oracle_residuals(
+    ys: Sequence[AngularFunction],
     basis: Sequence[AngularFunction],
     spec: OracleSpec = OracleSpec(),
     pinv: PinvSpec = PinvSpec(),
-) -> float:
-    """Brute-force projection residual ||y - P_span(y)|| on a grid.
+) -> np.ndarray:
+    """Brute-force projection residuals ||y - P_span(basis)(y)||, one per y
+    in ``ys``, on a grid.
 
-    Discretizes everything on per-piece uniform grids with Gregory-corrected
-    trapezoid weights (see ``OracleSpec``), takes the SVD of the
-    sqrt(w)-weighted basis samples, keeps the directions with
-    ``s**2 > pinv.rel_cutoff * s_0**2`` and returns the norm of the weighted
-    ``y`` samples minus their projection onto them: least squares, which
-    unlike normal equations keeps small directions.  Shares no nodes or code with the engine's sampled
-    Gauss-Legendre SVD or the closed-form kernel/Bessel path it checks.
+    Discretizes every function on per-piece uniform grids with
+    Gregory-corrected trapezoid weights (see ``OracleSpec``), takes one SVD
+    of the sqrt(w)-weighted basis samples, keeps the directions with
+    ``s**2 > pinv.rel_cutoff * s_0**2`` and returns the norms of the
+    weighted ``ys`` samples minus their projections onto them: least
+    squares, which unlike normal equations keeps small directions.  Shares
+    no nodes or code with the engine's sampled Gauss-Legendre SVD or the
+    closed-form kernel/Bessel path it checks.
     """
-    boundaries = sorted({p for f in (*basis, y) if f.mask is not None
-                         for p in f.mask.boundary_points()})
-    pieces, U_k = _oracle_range(tuple(basis), tuple(boundaries), spec, pinv.rel_cutoff)
-    y_bar = np.concatenate([np.sqrt(w) * _live_values(y, nodes, mid)
-                            for nodes, w, mid in pieces])
-    return float(np.linalg.norm(y_bar - U_k @ (U_k.T @ y_bar)))
+    boundaries = {p for f in (*basis, *ys) if f.mask is not None
+                  for p in f.mask.boundary_points()}
+    pieces = _piecewise_nodes_weights(spec, boundaries)
+
+    def weighted(funcs: Sequence[AngularFunction]) -> np.ndarray:
+        return np.concatenate([
+            np.sqrt(w)[:, None] * np.column_stack([_live_values(f, nodes, mid) for f in funcs])
+            for nodes, w, mid in pieces])
+
+    U, s, _ = np.linalg.svd(weighted(basis), full_matrices=False)
+    U_k = U[:, : int(np.count_nonzero(s**2 > pinv.rel_cutoff * s[0] ** 2))]
+    Y = weighted(ys).T  # one row per target
+    return np.linalg.norm(Y - (Y @ U_k) @ U_k.T, axis=1)
 
 
 # ---------------------------------------------------------------------------

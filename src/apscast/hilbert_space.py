@@ -5,7 +5,10 @@ kernel ``cos(omega * sin(theta))`` or ``sin(omega * sin(theta))``, optionally
 zeroed on a union of closed angle intervals (a support mask).
 Keeping functions symbolic gives exact Bessel closed forms for unmasked
 inner products and lets the Gram engine sample every kernel on one
-quadrature rule with breaks at the mask edges.
+quadrature rule with breaks at the mask edges.  ``inner_product`` and its
+relatives are the tests' reference paths, not the engine's: unmasked pairs
+take the closed forms and masked pairs ``numerics.integrate`` at its one
+setting, so they take no quadrature argument.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, NumericalConsistencyError
-from .numerics import QuadratureSpec, bessel_j0, gauss_legendre, integrate
+from .numerics import bessel_j0, gauss_legendre, integrate
 from .records import HALF_PI, SupportSet
 
 __all__ = [
@@ -116,56 +119,42 @@ def _joint_live_region(f: AngularFunction, g: AngularFunction) -> SupportSet:
     return combined.complement()
 
 
-def _quadrature_with_status(
-    f: AngularFunction, g: AngularFunction, quad: QuadratureSpec
-) -> tuple[float, bool]:
+def _quadrature_with_status(f: AngularFunction, g: AngularFunction) -> tuple[float, bool]:
     total, ok = 0.0, True
     for a, b in _joint_live_region(f, g).intervals:
-        res = integrate(lambda t: f.kernel_values(t) * g.kernel_values(t), a, b, quad)
+        res = integrate(lambda t: f.kernel_values(t) * g.kernel_values(t), a, b)
         total += res.value
         ok &= res.converged
     return total, ok
 
 
-def inner_product_with_status(
-    f: AngularFunction,
-    g: AngularFunction,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> tuple[float, bool]:
+def inner_product_with_status(f: AngularFunction, g: AngularFunction) -> tuple[float, bool]:
     """<f, g> plus a convergence flag for any quadrature involved."""
     if f.is_zero() or g.is_zero():
         return 0.0, True
     if f.mask is None and g.mask is None:
         return _full_interval_pair(f, g), True
-    return _quadrature_with_status(f, g, quad)
+    return _quadrature_with_status(f, g)
 
 
-def inner_product(
-    f: AngularFunction,
-    g: AngularFunction,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def inner_product(f: AngularFunction, g: AngularFunction) -> float:
     """L2 inner product over [-pi/2, pi/2].
 
     Unmasked pairs evaluate through the exact J0 closed forms; pairs with a
     mask go through ``inner_product_quadrature``.
     """
-    value, _ = inner_product_with_status(f, g, quad)
+    value, _ = inner_product_with_status(f, g)
     return value
 
 
-def inner_product_quadrature(
-    f: AngularFunction,
-    g: AngularFunction,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def inner_product_quadrature(f: AngularFunction, g: AngularFunction) -> float:
     """Direct adaptive quadrature of the pointwise product over the common
     live region, with panel breaks at every mask boundary."""
-    return _quadrature_with_status(f, g, quad)[0]
+    return _quadrature_with_status(f, g)[0]
 
 
-def norm_sq(f: AngularFunction, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    return inner_product(f, f, quad)
+def norm_sq(f: AngularFunction) -> float:
+    return inner_product(f, f)
 
 
 def mask(f: AngularFunction, c_s: SupportSet) -> AngularFunction:

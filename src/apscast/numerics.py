@@ -5,7 +5,9 @@ adaptive quadrature and the eigendecomposition-based pseudo-inverse are the
 independent reference paths its tests check it against.  J0 is Miller's
 backward recurrence: worst absolute error 3.6e-16 on [0, 1300] against
 40-digit mpmath, about 4 us a call at x = 1 and 50-70 us at x = 500.  The
-quadrature meets the requested tolerance on smooth integrands.
+adaptive quadrature has one setting: 32-node panels, a tolerance of 1e-12
+times max(1, |integral|) and at most 20 bisections of a panel.  It meets
+that tolerance on smooth integrands.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .errors import ContractError
 
 __all__ = [
-    "QuadratureSpec",
     "PinvSpec",
     "QuadratureResult",
     "PinvResult",
@@ -31,28 +32,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive composite Gauss-Legendre settings.
-
-    ``panel_order`` Gauss-Legendre nodes per panel; a panel is accepted when
-    the bisection estimate changes by less than the per-panel share of
-    ``abs_tol`` / ``rel_tol``; panels are bisected at most
-    ``max_subdivisions`` times.
-    """
-
-    panel_order: int = 32
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 20
-
-    def __post_init__(self) -> None:
-        if self.panel_order < 2:
-            raise ContractError(f"panel_order must be >= 2, got {self.panel_order}")
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ContractError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ContractError("max_subdivisions must be >= 1")
+# The one setting of ``integrate``.
+PANEL_ORDER = 32
+TOLERANCE = 1e-12
+MAX_SUBDIVISIONS = 20
 
 
 @dataclass(frozen=True)
@@ -77,19 +60,17 @@ class QuadratureResult:
     """Integral estimate plus convergence status.
 
     ``converged`` is False when some panel hit the subdivision limit before
-    meeting tolerance; the value is then the best available estimate and
-    ``error`` its (crude) accumulated bisection-difference estimate.
+    meeting tolerance; the value is then the best available estimate.
     """
 
     value: float
-    error: float
     converged: bool
     panels: int
 
 
 @dataclass(frozen=True)
 class PinvResult:
-    """Pseudo-inverse with spectral diagnostics.
+    """Pseudo-inverse in the eigenbasis.
 
     ``eigenvalues``/``eigenvectors`` hold the full symmetric eigensystem and
     ``kept`` flags the retained directions.  G^+ is never formed densely:
@@ -98,17 +79,9 @@ class PinvResult:
     """
 
     rank: int
-    sigma_max: float
-    sigma_min_retained: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     kept: np.ndarray
-
-    @property
-    def condition(self) -> float:
-        if self.rank == 0:
-            return math.inf
-        return self.sigma_max / self.sigma_min_retained
 
     def quad_form(self, z: np.ndarray) -> float:
         """z^T G^+ z evaluated in the eigenbasis (numerically stable)."""
@@ -179,9 +152,8 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                    order: int) -> float:
-    nodes, weights = gauss_legendre(order)
+def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    nodes, weights = gauss_legendre(PANEL_ORDER)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(np.dot(weights, f(mid + half * nodes)))
@@ -191,14 +163,16 @@ def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
     breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] with adaptive composite Gauss-Legendre.
 
     ``f`` must accept a numpy array of nodes and return values elementwise.
-    ``breakpoints`` seeds initial panel boundaries (mask edges, kinks);
-    points outside (a, b) are ignored.  Non-convergence is reported through
+    A panel of ``PANEL_ORDER`` nodes is bisected until its two halves change
+    its estimate by at most its share of b - a of ``TOLERANCE * max(1,
+    |first estimate|)``, or ``MAX_SUBDIVISIONS`` times.  ``breakpoints``
+    seeds initial panel boundaries (mask edges, kinks); points outside
+    (a, b) are ignored.  Non-convergence is reported through
     ``QuadratureResult.converged`` rather than raised: the caller decides
     whether a flagged estimate is acceptable.
     """
@@ -207,38 +181,35 @@ def integrate(
     if a > b:
         raise ContractError(f"integrate requires a <= b, got a={a}, b={b}")
     if a == b:
-        return QuadratureResult(0.0, 0.0, True, 0)
+        return QuadratureResult(0.0, True, 0)
 
     edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
     total_len = b - a
-    order = spec.panel_order
 
-    seeds = [(lo, hi, _panel_estimate(f, lo, hi, order)) for lo, hi in zip(edges[:-1], edges[1:])]
-    scale = max(1.0, abs(sum(s[2] for s in seeds)))
+    seeds = [(lo, hi, _panel_estimate(f, lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    tol = TOLERANCE * max(1.0, abs(sum(s[2] for s in seeds)))
 
     value = 0.0
-    err_acc = 0.0
     converged = True
     panels = 0
     stack = [(lo, hi, est, 0) for lo, hi, est in seeds]
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = 0.5 * (lo + hi)
-        left = _panel_estimate(f, lo, mid, order)
-        right = _panel_estimate(f, mid, hi, order)
+        left = _panel_estimate(f, lo, mid)
+        right = _panel_estimate(f, mid, hi)
         fine = left + right
         err = abs(fine - coarse)
-        tol_here = max(spec.abs_tol, spec.rel_tol * scale) * (hi - lo) / total_len
-        if err <= tol_here or depth >= spec.max_subdivisions:
+        tol_here = tol * (hi - lo) / total_len
+        if err <= tol_here or depth >= MAX_SUBDIVISIONS:
             if err > tol_here:
                 converged = False
             value += fine
-            err_acc += err
             panels += 2
             continue
         stack.append((lo, mid, left, depth + 1))
         stack.append((mid, hi, right, depth + 1))
-    return QuadratureResult(value, err_acc, converged, panels)
+    return QuadratureResult(value, converged, panels)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +240,8 @@ def pinv_psd(G: np.ndarray, spec: PinvSpec = PinvSpec()) -> PinvResult:
         kept = np.zeros(G.shape[0], dtype=bool)
     else:
         kept = np.abs(eigenvalues) > spec.rel_cutoff * sigma_max
-    rank = int(kept.sum())
-    sigma_min = float(np.abs(eigenvalues[kept]).min()) if rank else 0.0
-
     return PinvResult(
-        rank=rank,
-        sigma_max=sigma_max,
-        sigma_min_retained=sigma_min,
+        rank=int(kept.sum()),
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         kept=kept,

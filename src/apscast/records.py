@@ -7,12 +7,12 @@ config files, the config part of ``_meta.json``, the operator file's
 payload ``apscast bounds`` hashes into ``bounds_meta.json``.
 
 The checks of both records and the JSON readers they build on are in
-``documents``, which needs neither ``dataclasses`` nor ``typing``, so a
-cold ``convert --operator`` process checks an operator file's ``config``
-and ``support`` without loading this module.  This module imports nothing
-else of the package but ``errors``, so applying a stored operator never
-loads the build, and it imports numpy only inside the functions that
-return arrays (``SupportSet.contains`` and ``UlaConfig.omegas``).
+``documents``, which needs neither ``dataclasses``, ``typing`` nor numpy,
+so a cold ``convert --operator`` process checks an operator file's
+``config`` and ``support`` without loading this module.  This module
+imports nothing else of the package but ``errors``, so applying a stored
+operator never loads the build.  It imports numpy at module level, as
+every module that imports it (``apply`` and the build) does.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ import dataclasses
 import math
 import typing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .documents import HALF_PI, check_array, json_fields, support_intervals, support_pairs
 from .errors import ContractError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "HALF_PI",
@@ -89,8 +88,6 @@ class SupportSet:
 
     def contains(self, theta: np.ndarray) -> np.ndarray:
         """Boolean membership mask, elementwise over ``theta``."""
-        import numpy as np
-
         theta = np.asarray(theta, dtype=float)
         inside = np.zeros(theta.shape, dtype=bool)
         for a, b in self.intervals:
@@ -146,8 +143,6 @@ class UlaConfig:
 
     def omegas(self, side: str) -> np.ndarray:
         """Kernel frequencies 2 pi (f d / c) (k - 1), k = 1..N, of "uplink" or "downlink"."""
-        import numpy as np
-
         if side not in ("uplink", "downlink"):
             raise ContractError(f"side must be 'uplink' or 'downlink', got {side!r}")
         s = self.spacing_up if side == "uplink" else self.spacing_down

@@ -177,19 +177,22 @@ class TestCommands:
             meta = json.loads((out / f"{name}_meta.json").read_text())
             assert meta["array"]["n_antennas"] == 4
 
-    def test_meta_reads_back_as_config(self, tmp_path, small_config_file):
+    @pytest.mark.parametrize("command, name", [("fig1", "fig1.csv"),
+                                               ("export-operator", "operator.json")])
+    def test_meta_reads_back_as_config(self, tmp_path, small_config_file, command, name):
         """The config part of ``_meta.json`` passed back as ``--config``
         reproduces the run byte for byte."""
         first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["fig1", "--config", small_config_file, "-o", str(first)]) == 0
-        meta = json.loads((first / "fig1_meta.json").read_text())
+        assert main([command, "--config", small_config_file, "-o", str(first)]) == 0
+        meta_name = f"{os.path.splitext(name)[0]}_meta.json"
+        meta = json.loads((first / meta_name).read_text())
         keys = {f.name for f in dataclasses.fields(RunConfig)}
         assert keys <= set(meta)
         echoed = tmp_path / "echoed.json"
         echoed.write_text(json.dumps({k: meta[k] for k in keys}))
-        assert main(["fig1", "--config", str(echoed), "-o", str(second)]) == 0
-        for name in ("fig1.csv", "fig1_meta.json"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert main([command, "--config", str(echoed), "-o", str(second)]) == 0
+        for each in (name, meta_name):
+            assert (first / each).read_bytes() == (second / each).read_bytes()
 
     def test_determinism_byte_identical(self, tmp_path, small_config_file):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -308,9 +311,8 @@ BUILD_COMMANDS = {"bounds": "bounds.csv", "fig1": "fig1.csv", "fig2": "fig2.csv"
 
 def _library_outputs(command: str, cfg: RunConfig, path: str):
     """Write to ``path`` what ``command`` writes for ``cfg``, through the
-    library's own calls.  Returns the command's ``_meta.json`` keys (None
-    when it writes no metadata) and the text its ``wrote`` line carries
-    after the path."""
+    library's own calls.  Returns the command's ``_meta.json`` keys and the
+    text its ``wrote`` line carries after the path."""
     from apscast import experiments as ex
     from apscast.apply import export_operator
     from apscast.array_model import build_function_set
@@ -332,7 +334,7 @@ def _library_outputs(command: str, cfg: RunConfig, path: str):
     if command == "export-operator":
         op = build_conversion_operator(gs)
         export_operator(path, op)
-        return None, f" (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})"
+        return {}, f" (A is {op.A.shape[0]}x{op.A.shape[1]}, rank {op.rank})"
     if command == "fig1":
         r1 = ex.run_fig1(cfg.array, cfg.support, cfg.B, cfg.pinv)
         ex.write_fig1_csv(path, r1)
@@ -378,9 +380,6 @@ class TestBuildCommandBytes:
         assert stdout == f"wrote {cli_path}{note}\n"
         assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes()
         meta = f"{os.path.splitext(name)[0]}_meta.json"
-        if keys is None:
-            assert sorted(os.listdir(cli_dir)) == [name]
-            return
         write_metadata(str(lib_dir / meta), cfg.to_dict() | keys)
         assert sorted(os.listdir(cli_dir)) == sorted([name, meta])
         assert (cli_dir / meta).read_bytes() == (lib_dir / meta).read_bytes()
@@ -704,6 +703,36 @@ class TestErrorPaths:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_duplicate_covariance_key_exits_1(self, tmp_path, recip_config_file, capsys):
+        inp = tmp_path / "cov.json"
+        inp.write_text('{"n": 2, "first_col_re": [1.0, 0.5], "first_col_im": [0.0, 0.0], '
+                       '"first_col_re": [1.0, 0.25]}')
+        out = tmp_path / "out.json"
+        for source in (["--config", recip_config_file],
+                       ["--operator", _export_operator(tmp_path, 2)]):
+            capsys.readouterr()
+            assert main(["convert", *source, "--input", str(inp), "-o", str(out)]) == 1
+            assert capsys.readouterr().err == \
+                f"error: covariance file {inp}: duplicate key 'first_col_re'\n"
+            assert not out.exists()
+
+    def test_duplicate_operator_key_exits_1(self, tmp_path, capsys):
+        op_path = tmp_path / "op.json"
+        text = open(_export_operator(tmp_path, 2), encoding="utf-8").read()
+        op_path.write_text('{"rank": 0, ' + text[1:])
+        message = f"operator file {op_path}: duplicate key 'rank'"
+        with pytest.raises(ContractError) as exc:
+            apscast.load_operator(str(op_path))
+        assert str(exc.value) == message
+        inp = tmp_path / "cov.json"
+        inp.write_text(json.dumps({"n": 2, "first_col_re": [1.0, 0.5],
+                                   "first_col_im": [0.0, 0.25]}))
+        out = tmp_path / "out.json"
+        assert main(["convert", "--operator", str(op_path),
+                     "--input", str(inp), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_non_finite_config_token_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"pinv": {"rel_cutoff": NaN}}')
@@ -735,12 +764,15 @@ class TestErrorPaths:
         ('{"aps": {"peaks": [{"center": 0.5, "scale": 0.1, "weight": 0.0}]}}',
          "config.aps: cannot unit-normalize"),
         ('{"support": [[0.5, 0.2]]}', "config.support: interval [0.5, 0.2] is reversed"),
+        ('{"array": {"n_antennas": 4}, "array": {"n_antennas": 6}}', "duplicate key 'array'"),
+        ('{"B": 1.0, "array": {"n_antennas": 4, "n_antennas": 6}}',
+         "duplicate key 'n_antennas'"),
     ], ids=["fractional-int", "string-int", "string-float", "null-float",
             "overflowing-float", "removed-quad", "string-pinv", "array-not-object",
             "peak-without-scale", "string-support", "list-config",
             "overflowing-int", "not-utf8", "deep-nesting", "5000-digit-integer",
             "zero-antennas", "cutoff-above-one", "peak-center-outside", "no-peaks",
-            "zero-weights", "reversed-support"])
+            "zero-weights", "reversed-support", "duplicate-key", "nested-duplicate-key"])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, text, key):
         """Each bad value is rejected while reading the config, with an
         ``error:`` line that names its key, and nothing is written."""

@@ -14,7 +14,7 @@ from apscast.experiments import (
     ApsModel,
     ApsPeak,
     OracleSpec,
-    oracle_residual,
+    oracle_residuals,
     random_aps_model,
     run_fig1,
     run_fig2,
@@ -177,22 +177,23 @@ class TestOracle:
             OracleSpec(grid_points=99)    # too small
 
     def test_member_residual_vanishes(self, gs_small_si):
-        basis = gs_small_si.basis
-        got = oracle_residual(basis[2], basis)
-        assert got <= 1e-6
+        basis = gs_small_si.function_set.basis
+        got = oracle_residuals(basis[2:3], basis)
+        assert got[0] <= 1e-6
 
     def test_matches_projection_residual_no_si(self, gs_ref_no_si, rng):
         """Independent grid oracle vs the closed-form residual, random targets."""
-        basis = list(gs_ref_no_si.basis)
+        basis = gs_ref_no_si.function_set.basis
         G = np.array([[inner_product(f, g) for g in basis] for f in basis])
         res = pinv_psd(G, gs_ref_no_si.pinv)
+        ys = []
         for _ in range(5):
             omega = float(rng.uniform(0.0, 80.0))
             kind = Trig.COSINE if rng.random() < 0.5 else Trig.SINE
-            y = AngularFunction(kind, omega)
+            ys.append(AngularFunction(kind, omega))
+        for y, b in zip(ys, oracle_residuals(ys, basis)):
             z = np.array([inner_product(x, y) for x in basis])
             a = math.sqrt(clamp_residual_sq(norm_sq(y) - res.quad_form(z)))
-            b = oracle_residual(y, basis)
             assert abs(a - b) <= 1e-4 * max(a, b, 1e-2)
 
     def test_matches_engine_off_grid_mask_edges(self, reference_cfg):
@@ -202,9 +203,9 @@ class TestOracle:
         fs = build_function_set(reference_cfg, c_s)
         gs = build_gram_system(fs)
         report = compute_bounds(gs)
-        for idx, (g, residual) in enumerate(zip(fs.downlink, report.residuals)):
+        oracle = oracle_residuals(fs.downlink, fs.basis, OracleSpec(4001), gs.pinv)
+        for idx, (residual, b) in enumerate(zip(report.residuals, oracle)):
             if residual > 1e-6:
-                b = oracle_residual(g, gs.basis, OracleSpec(4001), gs.pinv)
                 assert abs(residual - b) <= 1e-5 * residual, idx + 1
 
     @pytest.mark.parametrize("cutoff", [1e-12, 1e-18])
@@ -216,20 +217,30 @@ class TestOracle:
         tolerance (1e-6 absolute and 1e-4 relative)."""
         gs = build_gram_system(build_function_set(reference_cfg, SupportSet(support)),
                                PinvSpec(cutoff))
+        fs = gs.function_set
+        oracle = oracle_residuals(fs.downlink, fs.basis, OracleSpec(4001), gs.pinv)
         disagree = []
-        for k, (g, a) in enumerate(zip(gs.function_set.downlink,
-                                       compute_bounds(gs).residuals)):
-            b = oracle_residual(g, gs.basis, OracleSpec(4001), gs.pinv)
+        for k, (a, b) in enumerate(zip(compute_bounds(gs).residuals, oracle)):
             if abs(a - b) > 1e-6 and abs(a - b) > 1e-4 * max(a, b):
                 disagree.append(k + 1)
         assert disagree == []
 
     def test_grid_refinement_stability(self, gs_ref_no_si):
         y = AngularFunction(Trig.COSINE, 17.3)
-        basis = gs_ref_no_si.basis
-        r1 = oracle_residual(y, basis, OracleSpec(2001))
-        r2 = oracle_residual(y, basis, OracleSpec(4001))
-        assert abs(r1 - r2) < 1e-5
+        basis = gs_ref_no_si.function_set.basis
+        r1 = oracle_residuals([y], basis, OracleSpec(2001))
+        r2 = oracle_residuals([y], basis, OracleSpec(4001))
+        assert abs(r1[0] - r2[0]) < 1e-5
+
+    def test_targets_together_match_one_at_a_time(self, gs_small_si):
+        """One SVD and one projection for several targets, masked and
+        unmasked, give each target's residual as a call for it alone does,
+        to within rounding."""
+        fs = gs_small_si.function_set
+        ys = [*fs.downlink, *fs.constraints[::3], AngularFunction(Trig.SINE, 9.1)]
+        together = oracle_residuals(ys, fs.basis)
+        alone = [oracle_residuals([y], fs.basis)[0] for y in ys]
+        np.testing.assert_allclose(together, alone, rtol=1e-12, atol=1e-14)
 
 
 class TestFig1:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from apscast.errors import ContractError
 from apscast.numerics import (
+    PANEL_ORDER,
     PinvSpec,
-    QuadratureSpec,
     bessel_j0,
     integrate,
     pinv_psd,
@@ -105,12 +105,11 @@ class TestIntegrate:
         assert abs(res.value) <= 1e-13
 
     def test_polynomial_panel_exactness(self):
-        # degree <= 2 * panel_order - 1 is exact for Gauss-Legendre
-        spec = QuadratureSpec(panel_order=8)
-        coeffs = np.arange(1.0, 16.0)  # degree 14 < 15
+        # degree <= 2 * PANEL_ORDER - 1 is exact for Gauss-Legendre
+        coeffs = np.arange(1.0, 2.0 * PANEL_ORDER + 1.0)  # degree 63
         exact = sum(c / (p + 1) * (2.0 ** (p + 1) - 1.0)
                     for p, c in enumerate(coeffs))
-        res = integrate(lambda t: np.polynomial.polynomial.polyval(t, coeffs), 1.0, 2.0, spec)
+        res = integrate(lambda t: np.polynomial.polynomial.polyval(t, coeffs), 1.0, 2.0)
         assert abs(res.value - exact) <= 1e-12 * abs(exact)
 
     def test_breakpoints_respected_for_kinks(self):
@@ -120,9 +119,8 @@ class TestIntegrate:
         assert abs(res.value - exact) <= 1e-12
 
     def test_non_convergence_flagged_not_raised(self):
-        spec = QuadratureSpec(panel_order=2, abs_tol=1e-14, rel_tol=1e-14,
-                              max_subdivisions=1)
-        res = integrate(lambda t: np.cos(200.0 * np.sin(t)), -1.5, 1.5, spec)
+        # a jump at 1/3, which no bisection of [0, 1] puts on a panel edge
+        res = integrate(lambda t: (t > 1.0 / 3.0).astype(float), 0.0, 1.0)
         assert not res.converged
         assert math.isfinite(res.value)
 
@@ -133,14 +131,6 @@ class TestIntegrate:
     def test_rejects_reversed_interval(self):
         with pytest.raises(ContractError):
             integrate(lambda t: t, 1.0, 0.0)
-
-    def test_spec_validation(self):
-        with pytest.raises(ContractError):
-            QuadratureSpec(panel_order=1)
-        with pytest.raises(ContractError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ContractError):
-            QuadratureSpec(max_subdivisions=0)
 
 
 class TestPinvPsd:
@@ -184,12 +174,6 @@ class TestPinvPsd:
     def test_rejects_asymmetric(self):
         with pytest.raises(ContractError):
             pinv_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_diagnostics(self):
-        res = pinv_psd(np.diag([4.0, 1.0, 0.0]))
-        assert res.sigma_max == pytest.approx(4.0)
-        assert res.sigma_min_retained == pytest.approx(1.0)
-        assert res.condition == pytest.approx(4.0)
 
     def test_cutoff_validation(self):
         with pytest.raises(ContractError):
